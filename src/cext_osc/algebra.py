@@ -7,7 +7,6 @@ for degeneracy detection and region classification are decidable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -159,22 +158,9 @@ def alpha_to_kappa(p: AlgebraParams) -> KappaPair:
     return KappaPair(re_kappa1=re, im_kappa1_sqrt3=im_sqrt3)
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as 'p' or 'p/q' for reports and CLI output."""
-    return str(x)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or finite-decimal strings without float round-off."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InadmissibleParams(f"cannot parse rational {text!r}") from exc
-
-
-def floor_fraction(x: Fraction) -> int:
-    return math.floor(x)
-
-
-def ceil_fraction(x: Fraction) -> int:
-    return math.ceil(x)

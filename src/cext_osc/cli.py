@@ -51,8 +51,6 @@ def _collect_params(lam, alpha0, alpha1, alphas):
         return new_params(lam, head)
     head = [parse_rational(alpha0)]
     if lam >= 3:
-        if alpha1 is None:
-            raise InadmissibleParams("--alpha1 required for lambda >= 3")
         head.append(parse_rational(alpha1))
     if lam > 3:
         raise InadmissibleParams(
@@ -118,7 +116,7 @@ def _fail_invalid(exc: Exception) -> None:
 def param_options(fn):
     fn = click.option("--alpha0", default="0", show_default=True,
                       help="alpha_0 as an exact rational 'p/q'")(fn)
-    fn = click.option("--alpha1", default=None,
+    fn = click.option("--alpha1", default="0",
                       help="alpha_1 as an exact rational 'p/q'")(fn)
     fn = click.option("--alpha", "alphas", multiple=True,
                       help="full head parameter list (repeat lambda-1 times)")(fn)
@@ -140,7 +138,7 @@ def main():
 def classify(alpha0, alpha1, alphas, lam, count, fmt):
     """Classify the spectrum type of a parameter point."""
     try:
-        p = _collect_params(lam, alpha0, alpha1 if alpha1 is not None else "0", alphas)
+        p = _collect_params(lam, alpha0, alpha1, alphas)
     except (InadmissibleParams, ExistenceViolation) as exc:
         _fail_invalid(exc)
     rep = classification_report(p, count)
@@ -160,7 +158,7 @@ def classify(alpha0, alpha1, alphas, lam, count, fmt):
 def spectrum(alpha0, alpha1, alphas, lam, count):
     """Print the level table: index, subspace, exact and float energy."""
     try:
-        p = _collect_params(lam, alpha0, alpha1 if alpha1 is not None else "0", alphas)
+        p = _collect_params(lam, alpha0, alpha1, alphas)
     except (InadmissibleParams, ExistenceViolation) as exc:
         _fail_invalid(exc)
     click.echo(f"{'n':>4} {'sub':>4} {'energy':>12} {'float':>14}")
@@ -177,7 +175,7 @@ def susy(alpha0, alpha1, alphas, lam, truncation, tol):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
     trunc = truncation or default_truncation()
     try:
-        p = _collect_params(lam, alpha0, alpha1 if alpha1 is not None else "0", alphas)
+        p = _collect_params(lam, alpha0, alpha1, alphas)
     except (InadmissibleParams, ExistenceViolation) as exc:
         _fail_invalid(exc)
     try:
@@ -392,7 +390,7 @@ def render_ascii(spec: DiagramSpec) -> str:
 def diagram(alpha0, alpha1, alphas, lam, count, out, ascii_mode, susy_mode):
     """Emit a level diagram (SVG file or ASCII on stdout)."""
     try:
-        p = _collect_params(lam, alpha0, alpha1 if alpha1 is not None else "0", alphas)
+        p = _collect_params(lam, alpha0, alpha1, alphas)
         spec = diagram_spec(p, count, susy_mode)
     except (InadmissibleParams, ExistenceViolation, WindowViolation) as exc:
         _fail_invalid(exc)

@@ -58,7 +58,9 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
         a_dag[n + 1, n] = math.sqrt(float(fvals[n + 1]))
     a = a_dag.conj().T
     n_op = np.diag(np.arange(trunc, dtype=float)).astype(complex)
-    phases = np.exp(2j * np.pi * np.arange(trunc) / lam)
+    # exp(2 pi i n / lambda) depends on n mod lambda only; reducing first keeps
+    # the argument small, so the phase carries no round-off that grows with n
+    phases = np.exp(2j * np.pi * (np.arange(trunc) % lam) / lam)
     t = np.diag(phases)
     projectors = tuple(
         np.diag((np.arange(trunc) % lam == mu).astype(complex)) for mu in range(lam)

@@ -86,6 +86,14 @@ class TestVerifyRelations:
                 rep = verify_relations(build_operators(p, 50), p, tol=1e-12)
                 assert rep.all_pass, (lam, p.alphas, rep.failures)
 
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_large_truncation_passes_default_tol(self, rng, lam):
+        # the cyclic phase of level n ~ 240 must carry no round-off of order n
+        for _ in range(2):
+            p = random_admissible_params(rng, lam=lam, max_numer=8)
+            rep = verify_relations(build_operators(p, 240), p, tol=1e-12)
+            assert rep.all_pass, (lam, p.alphas, rep.failures)
+
     def test_report_shape(self):
         p = params3(0, 6)
         rep = verify_relations(build_operators(p, 40), p, tol=1e-12)

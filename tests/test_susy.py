@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +46,6 @@ class TestBuildHierarchy:
         h = build_hierarchy(new_params(3, [0, 0]), trunc=10)
         for mu in range(4):
             assert h.diagonals[mu][:4] == (mu, mu + 1, mu + 2, mu + 3)
-            np.testing.assert_allclose(
-                np.diagonal(h.h[mu])[:4].real, [mu, mu + 1, mu + 2, mu + 3])
 
     def test_window_violation(self):
         with pytest.raises(WindowViolation):
@@ -61,12 +60,44 @@ class TestBuildHierarchy:
                 h.diagonals[lam][n] == h.diagonals[0][n] + lam
                 for n in range(20))
 
-    def test_super_block_shapes(self):
-        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=15)
-        assert len(h.super_blocks) == 3
-        for hh, q, qd in h.super_blocks:
-            assert hh.shape == q.shape == qd.shape == (30, 30)
-            np.testing.assert_allclose(qd, q.conj().T)
+
+def dense_reference(h):
+    """The superalgebra residuals from explicit 2K x 2K block matrices.
+
+    H = diag(H_mu, H_{mu+1}) - E_mu and Q carries a below the diagonal; the
+    residual is the max |entry| with the truncation row and column of both
+    blocks removed. Returns (per_mu, path_agreement) shaped like SqmReport.
+    """
+    k = h.trunc
+    keep = [i for i in range(2 * k) if i not in (k - 1, 2 * k - 1)]
+
+    def masked_max(m):
+        return float(np.max(np.abs(m[np.ix_(keep, keep)])))
+
+    dense = [np.diag([float(v) for v in d]).astype(complex) for d in h.diagonals]
+    per_mu = []
+    for mu in range(h.lam):
+        big_h = np.zeros((2 * k, 2 * k), dtype=complex)
+        big_h[:k, :k] = dense[mu] - float(h.ground_energies[mu]) * np.eye(k)
+        big_h[k:, k:] = dense[mu + 1] - float(h.ground_energies[mu]) * np.eye(k)
+        q = np.zeros_like(big_h)
+        q[k:, :k] = h.shifted_ops[mu].a
+        q_dag = q.conj().T
+        per_mu.append({
+            "supercharge_nilpotent": masked_max(q @ q),
+            "adjoint_nilpotent": masked_max(q_dag @ q_dag),
+            "commutes_q": masked_max(big_h @ q - q @ big_h),
+            "commutes_q_dag": masked_max(big_h @ q_dag - q_dag @ big_h),
+            "anticommutator_closes": masked_max(q @ q_dag + q_dag @ q - big_h),
+        })
+    cut = k - 1
+    first = h.shifted_ops[0]
+    agreement = [float(np.max(np.abs((first.a_dag @ first.a - dense[0])[:cut, :cut])))]
+    for mu in range(1, h.lam + 1):
+        ops = h.shifted_ops[mu - 1]
+        alt = ops.a @ ops.a_dag + float(h.ground_energies[mu - 1]) * np.eye(k)
+        agreement.append(float(np.max(np.abs((alt - dense[mu])[:cut, :cut]))))
+    return per_mu, agreement
 
 
 class TestVerifySqm:
@@ -86,6 +117,40 @@ class TestVerifySqm:
             "commutes_q", "commutes_q_dag", "anticommutator_closes"}
         for per_mu in rep.per_mu:
             assert set(per_mu) == expected
+
+    @pytest.mark.parametrize("trunc", [15, 30])
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_blocks_match_dense_reference(self, rng, lam, trunc):
+        for _ in range(3):
+            h = build_hierarchy(susy_point(rng, lam=lam), trunc=trunc)
+            rep = verify_sqm(h)
+            per_mu, agreement = dense_reference(h)
+            assert len(rep.per_mu) == len(per_mu) == lam
+            for got, want in zip(rep.per_mu, per_mu):
+                assert set(got) == set(want)
+                for name in want:
+                    assert abs(got[name] - want[name]) < 1e-15, name
+            np.testing.assert_allclose(rep.path_agreement, agreement, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_corrupted_member_fails(self, rng, lam):
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
+        assert verify_sqm(h).all_pass and projection_shift_identity(h, tol=TOL)
+        member = list(h.diagonals[1])
+        member[5] += Fraction(1, 1000)
+        diagonals = (h.diagonals[0], tuple(member), *h.diagonals[2:])
+        bad = dataclasses.replace(h, diagonals=diagonals)
+        assert not verify_sqm(bad).all_pass
+        assert not projection_shift_identity(bad, tol=TOL)
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_corrupted_ladder_fails(self, rng, lam):
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
+        ops = h.shifted_ops[1]
+        scaled = dataclasses.replace(ops, a=ops.a * 1.001, a_dag=ops.a_dag * 1.001)
+        shifted_ops = (h.shifted_ops[0], scaled, *h.shifted_ops[2:])
+        bad = dataclasses.replace(h, shifted_ops=shifted_ops)
+        assert not verify_sqm(bad).all_pass
 
     @pytest.mark.parametrize("lam", [2, 3, 4, 5])
     def test_random_points_all_lambdas(self, rng, lam):

@@ -35,6 +35,7 @@ from .spectrum import (
     detect_period,
     expected_prefix,
     levels,
+    oracle_agrees,
     representative_params,
     susy_window,
 )

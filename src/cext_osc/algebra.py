@@ -74,9 +74,6 @@ class AlgebraParams:
         """alpha_mu with the cyclic index convention alpha_mu = alpha_{mu mod lambda}."""
         return self.alphas[mu % self.lam]
 
-    def beta(self, mu: int) -> Fraction:
-        return self.betas[mu % self.lam]
-
     def structure_function(self, n: int) -> Fraction:
         """F(n) = n + beta_{n mod lambda}; solves F(n+1) - F(n) = G(n), F(0) = 0."""
         if n < 0:

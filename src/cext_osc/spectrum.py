@@ -21,7 +21,7 @@ DEG_VARIANTS = ("a", "b", "c", "abc")
 
 
 class NotPeriodic(ValueError):
-    """The sorted spectrum prefix is not periodically spaced with period lambda."""
+    """The spectrum is degenerate or not spaced with period lambda."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,6 @@ class PatternDescriptor:
     def index_order(self) -> tuple[int, ...]:
         return tuple(i for g in self.groups for i in g)
 
-    def subspace_multisets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(i % self.lam for i in g)) for g in self.groups)
-
 
 @dataclass(frozen=True)
 class SpectrumType:
@@ -94,6 +91,8 @@ class SpectrumType:
         if self.family == "I":
             if self.m is not None:
                 raise ValueError("family I has no m index")
+            if self.variant == "c":
+                raise ValueError("family I has no c variant")
         elif self.m is None or self.m < 1:
             raise ValueError(f"family {self.family} needs m >= 1, got {self.m}")
 
@@ -266,9 +265,20 @@ def expected_prefix(t: SpectrumType, count: int = 30) -> PatternDescriptor:
     return classify_oracle(representative_params(t), count)
 
 
+def oracle_agrees(p: AlgebraParams, t: SpectrumType, count: int = 30) -> bool:
+    """True iff the oracle descriptor of ``p`` is the chain label ``t`` prescribes.
+
+    Compares at least ``3 (m + n) + 6`` levels: neighbouring labels (n +- 1,
+    m +- 1, other variants) can share a shorter prefix, on which the check
+    could not fail.
+    """
+    count = max(count, 3 * ((t.m or 0) + t.n) + 6)
+    return expected_prefix(t, count) == classify_oracle(p, count)
+
+
 @dataclass(frozen=True)
 class PeriodReport:
-    """Cyclic spacing structure of a nondegenerate spectrum prefix."""
+    """Cyclic spacing structure of a nondegenerate periodic spectrum."""
 
     omegas: tuple[Fraction, ...]
     ground_order: tuple[int, ...]
@@ -291,29 +301,28 @@ def period3_omegas(p: AlgebraParams, t: SpectrumType) -> tuple[Fraction, ...]:
 
 
 def detect_period(p: AlgebraParams, count: int = 30) -> PeriodReport:
-    """Detect period-lambda spacing of the sorted spectrum prefix.
+    """Spacings of the spectrum if it repeats with period lambda.
 
-    Requires all ``count`` energies distinct and the consecutive spacings to
-    repeat with period lambda, all positive; otherwise raises
-    :class:`NotPeriodic`. For lambda=3 the result is cross-checked against
-    the closed-form spacings of the periodic taxonomy labels.
+    Level lambda*k + mu sits at E(mu) + lambda*k, so the lambda ground levels
+    decide: sorted, with ``lowest + lambda`` appended, their gaps are the
+    spacings. A gap that is not positive is an exact degeneracy or a subspace
+    starting a period or more above the ground, and raises
+    :class:`NotPeriodic`. The answer does not depend on ``count`` (at least
+    3 lambda). For lambda=3 the spacings are cross-checked against the
+    closed forms of the periodic taxonomy labels.
     """
     lam = p.lam
     if count < 3 * lam:
         raise ValueError(f"count must be >= {3 * lam}")
-    energies = sorted(p.energy(n) for n in range(count))
-    spacings = [b - a for a, b in zip(energies, energies[1:])]
-    if any(s == 0 for s in spacings):
-        raise NotPeriodic("spectrum prefix contains exact degeneracies")
-    for i, s in enumerate(spacings):
-        if s <= 0 or spacings[i % lam] != s:
-            raise NotPeriodic("spacings do not repeat with the cyclic period")
-    omegas = tuple(spacings[:lam])
-    ground_order = tuple(sorted(range(lam), key=lambda mu: p.energy(mu)))
+    ground = sorted((p.energy(mu), mu) for mu in range(lam))
+    chain = [e for e, _ in ground] + [ground[0][0] + lam]
+    omegas = tuple(b - a for a, b in zip(chain, chain[1:]))
+    if any(w <= 0 for w in omegas):
+        raise NotPeriodic("ground levels are degenerate or a period or more apart")
     if lam == 3:
         closed = period3_omegas(p, classify3(p))
         assert omegas == closed, "period detector disagrees with closed forms"
-    return PeriodReport(omegas=omegas, ground_order=ground_order)
+    return PeriodReport(omegas=omegas, ground_order=tuple(mu for _, mu in ground))
 
 
 def susy_window(p: AlgebraParams) -> bool:

@@ -15,6 +15,22 @@ def run(runner, *args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
 
 
+@pytest.mark.parametrize("args,env", [
+    (["classify", "--levels", "0"], None),
+    (["susy", "--truncation", "3"], None),
+    (["susy", "--truncation", "0"], None),
+    (["diagram", "--levels", "0"], None),
+    (["diagram", "--levels", "0", "--susy", "--ascii"], None),
+    (["sweep", "--random", "5", "--levels", "0"], None),
+    (["susy"], {"CEXT_OSC_DEFAULT_TRUNCATION": "abc"}),
+])
+def test_invalid_input_exits_2(runner, args, env):
+    res = run(runner, *args, env=env)
+    assert res.exit_code == EXIT_INVALID
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].lower().startswith("error: ")
+
+
 class TestClassify:
     def test_json_report(self, runner):
         res = run(runner, "classify", "--alpha0", "0", "--alpha1", "6")
@@ -52,6 +68,13 @@ class TestClassify:
         assert doc["period"] is not None
         assert doc["period"]["omegas"] == ["5/4", "1", "3/4"]
         res = run(runner, "classify", "--alpha0", "0", "--alpha1", "10")
+        assert json.loads(res.output)["period"] is None
+
+    def test_short_prefix_reports_no_period(self, runner):
+        # the first 9 levels look periodic; the spectrum is not
+        res = run(runner, "classify", "--alpha0", "19", "--alpha1", "13",
+                  "--levels", "9")
+        assert res.exit_code == 0
         assert json.loads(res.output)["period"] is None
 
     def test_inadmissible_exits_2(self, runner):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cext_osc import (
     NotPeriodic,
+    PeriodReport,
     SpectrumType,
     UnsupportedLambda,
     classify3,
@@ -19,7 +20,10 @@ from cext_osc import (
     susy_window,
 )
 from cext_osc.spectrum import (
+    DEG_VARIANTS,
+    NONDEG_VARIANTS,
     lowest_double_position,
+    oracle_agrees,
     period3_omegas,
     random_admissible_params,
 )
@@ -71,6 +75,41 @@ def boundary_line_points(max_index=5):
     return admissible
 
 
+def prefix_detect_period(p, count):
+    """Reference: period of the sorted first ``count`` levels, spacing by spacing.
+
+    Exact when ``count`` is a multiple of lambda and long enough to reach the
+    repeating part of the spectrum.
+    """
+    lam = p.lam
+    energies = sorted(p.energy(n) for n in range(count))
+    spacings = [b - a for a, b in zip(energies, energies[1:])]
+    if any(s <= 0 or spacings[i % lam] != s for i, s in enumerate(spacings)):
+        raise NotPeriodic("reference: spacings do not repeat")
+    return PeriodReport(omegas=tuple(spacings[:lam]),
+                        ground_order=tuple(sorted(range(lam), key=p.energy)))
+
+
+def period_or_none(detect, p, count):
+    try:
+        return detect(p, count)
+    except NotPeriodic:
+        return None
+
+
+def neighbours(t):
+    """Labels one step from ``t``: n +- 1, m +- 1, or another variant."""
+    steps = [(t.n - 1, t.m, t.variant), (t.n + 1, t.m, t.variant)]
+    if t.m is not None:
+        steps += [(t.n, t.m - 1, t.variant), (t.n, t.m + 1, t.variant)]
+    steps += [(t.n, t.m, v) for v in NONDEG_VARIANTS + DEG_VARIANTS if v != t.variant]
+    for n, m, v in steps:
+        try:
+            yield SpectrumType(t.family, v, n=n, m=m)
+        except ValueError:
+            continue
+
+
 class TestLevels:
     def test_harmonic(self):
         lv = levels(new_params(3, [0, 0]), 3)
@@ -116,6 +155,13 @@ class TestDegeneracyPattern:
             all_idx = sorted(i for _, g in pat.groups for i in g)
             assert all_idx == list(range(30))
             assert max(pat.multiplicities) <= 3
+
+
+class TestSpectrumType:
+    def test_family_I_has_no_c_variant(self):
+        # class I has a- and b-type boundary lines only
+        with pytest.raises(ValueError):
+            SpectrumType("I", "c", n=2)
 
 
 class TestClassify3:
@@ -187,6 +233,28 @@ class TestOracleAgreement:
             assert expected_prefix(t, 30) == classify_oracle(p, 30), (a0, a1, t.label)
 
 
+class TestOracleAgrees:
+    def test_long_label_neighbours_fail(self):
+        # I.1.10, I.2.10 and I.10.a share I.1.11's first 30 levels
+        p = params3(0, 60)
+        t = classify3(p)
+        assert t == SpectrumType("I", "1", n=11)
+        assert oracle_agrees(p, t, 30)
+        for near in (SpectrumType("I", "1", n=10), SpectrumType("I", "2", n=10),
+                     SpectrumType("I", "a", n=10)):
+            assert expected_prefix(near, 30) == classify_oracle(p, 30)
+            assert not oracle_agrees(p, near, 30), near.label
+
+    def test_neighbours_distinct(self):
+        labels = [t for t in ALL_VARIANT_TYPES if t.n <= 4 and (t.m or 0) <= 4]
+        for t in labels:
+            p = representative_params(t)
+            # count 1: compare on the label-derived length alone
+            assert oracle_agrees(p, t, 1), t.label
+            for near in neighbours(t):
+                assert not oracle_agrees(p, near, 1), (t.label, near.label)
+
+
 class TestDegeneracyRules:
     def test_degenerate_ground_only_for_IIb1_IIabc1(self, rng):
         pts = [random_admissible_params(rng) for _ in range(300)]
@@ -252,6 +320,32 @@ class TestDetectPeriod:
         rep = detect_period(p, 24)
         assert rep.big_omega == 4
         assert all(w > 0 for w in rep.omegas)
+
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 7])
+    def test_matches_long_prefix_reference(self, lam):
+        rng = random.Random(lam)
+        pts = [random_admissible_params(rng, lam=lam, max_numer=3) for _ in range(15)]
+        pts += [random_admissible_params(rng, lam=lam) for _ in range(5)]
+        outcomes = set()
+        for p in pts:
+            want = period_or_none(prefix_detect_period, p, 100 * lam)
+            assert period_or_none(detect_period, p, 3 * lam) == want, p.alphas
+            outcomes.add(want is None)
+        # lambda = 2 is always periodic: E(1) - E(0) = 1
+        assert outcomes == ({False} if lam == 2 else {False, True})
+
+    def test_unaligned_default_prefix_finds_period(self):
+        # 30 levels are 7.5 periods at lambda = 4: an unaligned prefix
+        p = new_params(4, [Fraction(11, 4), Fraction(6, 7), Fraction(-13, 3)])
+        rep = detect_period(p, 30)
+        assert rep.big_omega == 4
+        assert rep == prefix_detect_period(p, 400)
+
+    def test_short_prefix_does_not_fake_a_period(self):
+        # level 1 starts over five periods above the ground, yet the spacings
+        # of the first 9 levels repeat with period 3
+        with pytest.raises(NotPeriodic):
+            detect_period(params3(19, 13), 9)
 
 
 class TestSusyWindow:

@@ -27,12 +27,14 @@ from .spectrum import (
     oracle_agrees,
     susy_window,
 )
-from .susy import build_hierarchy, check_interlacing, projection_shift_identity, \
-    verify_sqm
+from .susy import WindowViolation, build_hierarchy, check_interlacing, \
+    projection_shift_identity, verify_sqm
 
 SCHEMA_VERSION = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAIL = 3
+# The library's errors for input outside its domain; any other exception is a fault.
+INPUT_ERRORS = (InadmissibleParams, ExistenceViolation, WindowViolation)
 
 
 def _collect_params(lam, alpha0, alpha1, alphas):
@@ -90,7 +92,7 @@ def classification_report(p: AlgebraParams, count: int = 30) -> dict:
     else:
         rep["spectrum_type"] = None
     try:
-        period = detect_period(p, max(count, 3 * p.lam))
+        period = detect_period(p, count)
         rep["period"] = {
             "omegas": [str(w) for w in period.omegas],
             "Omega": str(period.big_omega),
@@ -100,11 +102,6 @@ def classification_report(p: AlgebraParams, count: int = 30) -> dict:
         rep["period"] = None
     rep["susy_window"] = susy_window(p)
     return rep
-
-
-def _fail_invalid(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_INVALID)
 
 
 def param_options(fn):
@@ -122,15 +119,16 @@ def param_options(fn):
 class _Commands(click.Group):
     """Command group with the CLI's one validation boundary.
 
-    The library signals invalid input with a ValueError; one that reaches
-    here ends in exit 2 with a one-line error, never in a traceback.
+    An input error that reaches here ends in exit 2 with a one-line error,
+    never in a traceback; any other exception is left to propagate.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
-            _fail_invalid(exc)
+        except INPUT_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INVALID)
 
 
 @click.group(cls=_Commands)
@@ -160,7 +158,7 @@ def classify(alpha0, alpha1, alphas, lam, count, fmt):
 
 @main.command()
 @param_options
-@click.option("--count", type=int, default=12, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=12, show_default=True)
 def spectrum(alpha0, alpha1, alphas, lam, count):
     """Print the level table: index, subspace, exact and float energy."""
     p = _collect_params(lam, alpha0, alpha1, alphas)
@@ -224,7 +222,7 @@ def _grid_points(spec: str):
 
 @main.command()
 @click.option("--grid", default=None, help="a0min:a0max:step,a1min:a1max:step")
-@click.option("--random", "n_random", type=int, default=None, help="number of random points")
+@click.option("--random", "n_random", type=click.IntRange(min=1), help="number of random points")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--levels", "count", type=click.IntRange(min=1), default=30,
               show_default=True)
@@ -233,8 +231,7 @@ def sweep(grid, n_random, seed, count):
     from .spectrum import random_admissible_params
 
     if (grid is None) == (n_random is None):
-        click.echo("error: give exactly one of --grid / --random", err=True)
-        sys.exit(EXIT_INVALID)
+        raise InadmissibleParams("give exactly one of --grid / --random")
     if grid is not None:
         points = list(_grid_points(grid))
     else:
@@ -248,7 +245,7 @@ def sweep(grid, n_random, seed, count):
         line = {"alpha0": str(a0), "alpha1": str(a1)}
         try:
             p = new_params(3, [a0, a1])
-        except (InadmissibleParams, ExistenceViolation) as exc:
+        except INPUT_ERRORS as exc:
             line["error"] = str(exc)
             click.echo(json.dumps(line))
             continue

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, UnsupportedLambda
+from .algebra import AlgebraParams, InadmissibleParams, UnsupportedLambda
 
 
 class NegativeStructureValue(ValueError):
@@ -48,7 +48,7 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     """
     lam = p.lam
     if trunc < 2 * lam:
-        raise ValueError(f"truncation {trunc} too small, need >= {2 * lam}")
+        raise InadmissibleParams(f"truncation {trunc} too small, need >= {2 * lam}")
     fvals = [p.structure_function(n) for n in range(trunc)]
     for n in range(1, trunc):
         if fvals[n] < 0:

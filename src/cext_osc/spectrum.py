@@ -111,23 +111,27 @@ class SpectrumType:
 
 
 def levels(p: AlgebraParams, count: int) -> list[Level]:
-    """First ``count`` levels in index order (not energy order)."""
+    """First ``count`` levels in index order; level lambda*k + mu is E(mu) + lambda*k."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [
-        Level(index=n, energy=p.energy(n), subspace=n % p.lam)
-        for n in range(count)
-    ]
+    lam = p.lam
+    ground = [p.energy(mu) for mu in range(min(count, lam))]
+    return [Level(index=n, energy=ground[n % lam] + (n - n % lam), subspace=n % lam)
+            for n in range(count)]
 
 
 def degeneracy_pattern(p: AlgebraParams, count: int) -> DegeneracyPattern:
-    """Group the first ``count`` levels by exact energy, ascending."""
-    by_energy: dict[Fraction, list[int]] = {}
-    for lv in levels(p, count):
-        by_energy.setdefault(lv.energy, []).append(lv.index)
-    groups = tuple(
-        (e, tuple(sorted(by_energy[e]))) for e in sorted(by_energy)
-    )
+    """Group the first ``count`` levels by exact energy, ascending.
+
+    Every level has its ground level's denominator, so the energies are grouped
+    and sorted as exact integers over the ground levels' common denominator.
+    """
+    lvs = levels(p, count)
+    scale = math.lcm(*(lv.energy.denominator for lv in lvs[:p.lam]))
+    by_key: dict[int, list[Level]] = {}
+    for lv in lvs:
+        by_key.setdefault(lv.energy.numerator * (scale // lv.energy.denominator), []).append(lv)
+    groups = tuple((g[0].energy, tuple(lv.index for lv in g)) for _, g in sorted(by_key.items()))
     return DegeneracyPattern(groups=groups, prefix=count)
 
 
@@ -254,7 +258,9 @@ def representative_params(t: SpectrumType) -> AlgebraParams:
     return new_params(3, [a0, a1])
 
 
-@lru_cache(maxsize=4096)
+# Wide-box labels rarely repeat, and an entry grows with the prefix that
+# oracle_agrees asks for: a small cache keeps the hot labels and bounds memory.
+@lru_cache(maxsize=512)
 def expected_prefix(t: SpectrumType, count: int = 30) -> PatternDescriptor:
     """The level-index interleaving that label ``t`` prescribes for its window.
 
@@ -288,8 +294,8 @@ class PeriodReport:
         return sum(self.omegas, Fraction(0))
 
 
-def period3_omegas(p: AlgebraParams, t: SpectrumType) -> tuple[Fraction, ...]:
-    """Closed-form level spacings for the three period-three labels."""
+def period3_omegas(p: AlgebraParams, t: SpectrumType) -> tuple[Fraction, ...] | None:
+    """Closed-form level spacings for the three period-three labels, else None."""
     a0, a1 = p.alphas[0], p.alphas[1]
     if t == SpectrumType("I", "1", n=1):
         return ((a0 + a1 + 2) / 2, (2 - a0) / 2, (2 - a1) / 2)
@@ -297,7 +303,7 @@ def period3_omegas(p: AlgebraParams, t: SpectrumType) -> tuple[Fraction, ...]:
         return ((a1 + 4) / 2, (a0 - 2) / 2, (4 - a0 - a1) / 2)
     if t == SpectrumType("III", "1", n=1, m=1):
         return ((-a1 - 4) / 2, (a0 + a1 + 2) / 2, (8 - a0) / 2)
-    raise ValueError(f"no closed-form spacings for {t.label}")
+    return None
 
 
 def detect_period(p: AlgebraParams, count: int = 30) -> PeriodReport:
@@ -307,21 +313,19 @@ def detect_period(p: AlgebraParams, count: int = 30) -> PeriodReport:
     decide: sorted, with ``lowest + lambda`` appended, their gaps are the
     spacings. A gap that is not positive is an exact degeneracy or a subspace
     starting a period or more above the ground, and raises
-    :class:`NotPeriodic`. The answer does not depend on ``count`` (at least
-    3 lambda). For lambda=3 the spacings are cross-checked against the
-    closed forms of the periodic taxonomy labels.
+    :class:`NotPeriodic`. ``count`` is accepted for callers that pass a
+    prefix length and is not read. For lambda=3 the spacings are
+    cross-checked against the closed forms of the periodic taxonomy labels.
     """
     lam = p.lam
-    if count < 3 * lam:
-        raise ValueError(f"count must be >= {3 * lam}")
     ground = sorted((p.energy(mu), mu) for mu in range(lam))
     chain = [e for e, _ in ground] + [ground[0][0] + lam]
     omegas = tuple(b - a for a, b in zip(chain, chain[1:]))
     if any(w <= 0 for w in omegas):
         raise NotPeriodic("ground levels are degenerate or a period or more apart")
     if lam == 3:
-        closed = period3_omegas(p, classify3(p))
-        assert omegas == closed, "period detector disagrees with closed forms"
+        assert omegas == period3_omegas(p, classify3(p)), \
+            "period detector disagrees with closed forms"
     return PeriodReport(omegas=omegas, ground_order=tuple(mu for _, mu in ground))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, new_params
+from .algebra import AlgebraParams, InadmissibleParams, new_params
 from .fockrep import OperatorSet, _interior_max, build_operators
 
 
@@ -68,7 +68,7 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     """
     lam = p.lam
     if trunc < 2 * lam:
-        raise ValueError(f"truncation {trunc} too small, need >= {2 * lam}")
+        raise InadmissibleParams(f"truncation {trunc} too small, need >= {2 * lam}")
     omegas = tuple(1 + a for a in p.alphas)
     for mu, w in enumerate(omegas):
         if w <= 0:

@@ -173,13 +173,18 @@ CRITERIA = (
 )
 
 
+# A third of the full suite's 60 s budget; criteria 1-7 take about a quarter
+# of the suite's time.
+CRITERIA_BUDGET_S = 20.0
+
+
 def test_criterion_8_suite_duration(durations):
     # criteria deselected from this run are run and timed here
-    for criterion in CRITERIA:
-        if criterion.__name__ not in durations:
-            start = time.perf_counter()
-            criterion()
-            durations[criterion.__name__] = time.perf_counter() - start
+    rerun = [c for c in CRITERIA if c.__name__ not in durations]
+    for criterion in rerun:
+        start = time.perf_counter()
+        criterion()
+        durations[criterion.__name__] = time.perf_counter() - start
     total = sum(durations[criterion.__name__] for criterion in CRITERIA)
-    report("8 criteria 1-7 within the README's 60 s budget", total < 60.0,
-           f"{total:.1f} s")
+    report(f"8 criteria 1-7 within {CRITERIA_BUDGET_S:.0f} s", total < CRITERIA_BUDGET_S,
+           f"{total:.1f} s, {len(rerun)} of {len(CRITERIA)} run by this criterion")

@@ -23,12 +23,33 @@ def run(runner, *args, env=None):
     (["diagram", "--levels", "0", "--susy", "--ascii"], None),
     (["sweep", "--random", "5", "--levels", "0"], None),
     (["susy"], {"CEXT_OSC_DEFAULT_TRUNCATION": "abc"}),
+    (["spectrum", "--count", "0"], None),
+    (["spectrum", "--count", "-3"], None),
+    (["sweep", "--random", "0"], None),
+    (["sweep", "--random", "-5"], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
     res = run(runner, *args, env=env)
     assert res.exit_code == EXIT_INVALID
     assert res.stdout == ""
     assert res.stderr.splitlines()[-1].lower().startswith("error: ")
+
+
+def _raise_value_error(*args):
+    raise ValueError("internal fault")
+
+
+@pytest.mark.parametrize("target,fault,exc_type", [
+    ("cext_osc.cli.classify_oracle", _raise_value_error, ValueError),
+    ("cext_osc.spectrum.period3_omegas", lambda p, t: None, AssertionError),
+])
+def test_internal_fault_is_not_invalid_input(runner, monkeypatch, target, fault,
+                                             exc_type):
+    # a fault of the library is not the user's input error: no exit 2
+    monkeypatch.setattr(target, fault)
+    res = runner.invoke(main, ["classify", "--alpha0", "0", "--alpha1", "1/2"])
+    assert res.exit_code != EXIT_INVALID
+    assert isinstance(res.exception, exc_type)
 
 
 class TestClassify:

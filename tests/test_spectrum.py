@@ -156,6 +156,21 @@ class TestDegeneracyPattern:
             assert all_idx == list(range(30))
             assert max(pat.multiplicities) <= 3
 
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_matches_sorted_energies(self, lam):
+        # reference: every level's energy from AlgebraParams.energy, sorted
+        rng = random.Random(10 + lam)
+        pts = [random_admissible_params(rng, lam=lam, max_numer=3) for _ in range(20)]
+        if lam == 3:
+            pts += [representative_params(t) for t in ALL_VARIANT_TYPES[::7]]
+        for p in pts:
+            count = 20 * lam + 1
+            by_energy = {}
+            for n in range(count):
+                by_energy.setdefault(p.energy(n), []).append(n)
+            want = tuple((e, tuple(by_energy[e])) for e in sorted(by_energy))
+            assert degeneracy_pattern(p, count).groups == want, p.alphas
+
 
 class TestSpectrumType:
     def test_family_I_has_no_c_variant(self):

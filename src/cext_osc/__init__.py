@@ -24,6 +24,7 @@ from .fockrep import (
 )
 from .spectrum import (
     DegeneracyPattern,
+    InvariantViolation,
     Level,
     NotPeriodic,
     PatternDescriptor,

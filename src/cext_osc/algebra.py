@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Rational = Fraction
@@ -96,11 +97,26 @@ class AlgebraParams:
         betas = self.betas + (Fraction(0),)
         return tuple((betas[mu] + betas[mu + 1]) / 2 for mu in range(self.lam))
 
+    @cached_property
+    def _ground(self) -> tuple[Fraction, ...]:
+        """Ground energies E(0), ..., E(lambda-1), computed on first use.
+
+        Not a dataclass field, so equality, hashing and ``repr`` ignore it,
+        and ``dataclasses.replace`` builds an instance without it.
+        """
+        return tuple(mu + Fraction(1, 2) + g for mu, g in enumerate(self.gamma_coeffs()))
+
     def energy(self, n: int) -> Fraction:
-        """Oscillator-Hamiltonian eigenvalue of level n: n + 1/2 + gamma_{n mod lambda}."""
+        """Oscillator-Hamiltonian eigenvalue of level n: n + 1/2 + gamma_{n mod lambda}.
+
+        Level lambda*k + mu sits at E(mu) + lambda*k, an integer shift of its
+        subspace's ground level.
+        """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        return n + Fraction(1, 2) + self.gamma_coeffs()[n % self.lam]
+        mu = n % self.lam
+        ground = self._ground[mu]
+        return ground + (n - mu) if n >= self.lam else ground
 
 
 def new_params(lam: int, alphas_head: Sequence[RationalLike]) -> AlgebraParams:

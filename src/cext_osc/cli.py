@@ -198,6 +198,7 @@ def susy(alpha0, alpha1, alphas, lam, trunc, tol):
 
 
 def _grid_points(spec: str):
+    """The grid's parameter points, or the JSON line of an inadmissible one."""
     parts = spec.split(",")
     if len(parts) != 2:
         raise InadmissibleParams("grid spec must be 'a0min:a0max:step,a1min:a1max:step'")
@@ -217,7 +218,10 @@ def _grid_points(spec: str):
         axes.append(vals)
     for a0 in axes[0]:
         for a1 in axes[1]:
-            yield a0, a1
+            try:
+                yield new_params(3, [a0, a1])
+            except INPUT_ERRORS as exc:
+                yield {"alpha0": str(a0), "alpha1": str(a1), "error": str(exc)}
 
 
 @main.command()
@@ -236,23 +240,17 @@ def sweep(grid, n_random, seed, count):
         points = list(_grid_points(grid))
     else:
         rng = random.Random(seed)
-        points = [
-            tuple(random_admissible_params(rng).alphas[:2]) for _ in range(n_random)
-        ]
+        points = [random_admissible_params(rng) for _ in range(n_random)]
     histogram: dict[str, int] = {}
     disagreements = 0
-    for a0, a1 in points:
-        line = {"alpha0": str(a0), "alpha1": str(a1)}
-        try:
-            p = new_params(3, [a0, a1])
-        except INPUT_ERRORS as exc:
-            line["error"] = str(exc)
-            click.echo(json.dumps(line))
+    for p in points:
+        if isinstance(p, dict):
+            click.echo(json.dumps(p))
             continue
         t = classify3(p)
         agrees = oracle_agrees(p, t, count)
-        line["label"] = t.label
-        line["oracle_agrees"] = agrees
+        line = {"alpha0": str(p.alphas[0]), "alpha1": str(p.alphas[1]),
+                "label": t.label, "oracle_agrees": agrees}
         histogram[t.label] = histogram.get(t.label, 0) + 1
         if not agrees:
             disagreements += 1

@@ -24,6 +24,18 @@ class NotPeriodic(ValueError):
     """The spectrum is degenerate or not spaced with period lambda."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: a fault of the program, not of its input.
+
+    Raised explicitly, so ``python -O`` does not strip the check.
+    """
+
+
+def _invariant(holds: bool, what: str) -> None:
+    if not holds:
+        raise InvariantViolation(what)
+
+
 @dataclass(frozen=True)
 class Level:
     index: int
@@ -114,24 +126,26 @@ def levels(p: AlgebraParams, count: int) -> list[Level]:
     """First ``count`` levels in index order; level lambda*k + mu is E(mu) + lambda*k."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    lam = p.lam
-    ground = [p.energy(mu) for mu in range(min(count, lam))]
-    return [Level(index=n, energy=ground[n % lam] + (n - n % lam), subspace=n % lam)
-            for n in range(count)]
+    return [Level(index=n, energy=p.energy(n), subspace=n % p.lam) for n in range(count)]
 
 
 def degeneracy_pattern(p: AlgebraParams, count: int) -> DegeneracyPattern:
     """Group the first ``count`` levels by exact energy, ascending.
 
-    Every level has its ground level's denominator, so the energies are grouped
-    and sorted as exact integers over the ground levels' common denominator.
+    Only the ground levels are evaluated. Over their common denominator
+    ``scale`` they are integers ``base[mu]``, and level n = lambda*k + mu has
+    the integer key ``base[mu] + (n - mu) * scale``; the keys are sorted and
+    grouped, and each group's energy is one ``Fraction(key, scale)``.
     """
-    lvs = levels(p, count)
-    scale = math.lcm(*(lv.energy.denominator for lv in lvs[:p.lam]))
-    by_key: dict[int, list[Level]] = {}
-    for lv in lvs:
-        by_key.setdefault(lv.energy.numerator * (scale // lv.energy.denominator), []).append(lv)
-    groups = tuple((g[0].energy, tuple(lv.index for lv in g)) for _, g in sorted(by_key.items()))
+    lam = p.lam
+    ground = [lv.energy for lv in levels(p, min(count, lam))]
+    scale = math.lcm(*(e.denominator for e in ground))
+    base = [e.numerator * (scale // e.denominator) for e in ground]
+    by_key: dict[int, list[int]] = {}
+    for n in range(count):
+        mu = n % lam
+        by_key.setdefault(base[mu] + (n - mu) * scale, []).append(n)
+    groups = tuple((Fraction(key, scale), tuple(by_key[key])) for key in sorted(by_key))
     return DegeneracyPattern(groups=groups, prefix=count)
 
 
@@ -160,7 +174,7 @@ def classify3(p: AlgebraParams) -> SpectrumType:
     if a0 < 2:
         # class I: E0 < E1 < E2. The n-th cell is 6n - a0 - 8 < a1 <= 6n - a0 - 2.
         n = math.ceil((a0 + a1 + 2) / 6)
-        assert n >= 1
+        _invariant(n >= 1, "class I: index n < 1")
         if a1 == 6 * n - a0 - 2:
             return SpectrumType("I", "a", n=n)
         if a1 == 6 * n - 4:
@@ -176,13 +190,12 @@ def classify3(p: AlgebraParams) -> SpectrumType:
         if col.denominator == 1 and row.denominator == 1:
             c, r = int(col), int(row)
             if c == 0:
-                assert r >= 2
+                _invariant(r >= 2, "I.abc: index n < 1")
                 return SpectrumType("I", "abc", n=r - 1)
             return SpectrumType("II", "abc", m=c, n=r)
         if col.denominator == 1:
             return SpectrumType("II", "c", m=int(col) + 1, n=math.floor(row))
         m = math.floor((a0 + 4) / 6)
-        assert m >= 1
         if row.denominator == 1:
             return SpectrumType("II", "b", m=m, n=int(row))
         n = math.floor(row)
@@ -200,22 +213,22 @@ def classify3(p: AlgebraParams) -> SpectrumType:
     on_c = sfrac.denominator == 1
     s = int(sfrac) if on_c else math.floor(sfrac)
     if on_c and on_b:
-        assert s - 1 - n >= 1
+        _invariant(s - 1 - n >= 1, "III.abc: index m < 1")
         return SpectrumType("III", "abc", m=s - 1 - n, n=n)
     if on_c:
-        assert s - n >= 1
+        _invariant(s - n >= 1, "III.c: index m < 1")
         return SpectrumType("III", "c", m=s - n, n=n)
     if on_b:
-        assert s - n >= 1
+        _invariant(s - n >= 1, "III.b: index m < 1")
         return SpectrumType("III", "b", m=s - n, n=n)
     a_line = 6 * (s - n) - a0 - 2
     if a1 == a_line:
-        assert s - n >= 1
+        _invariant(s - n >= 1, "III.a: index m < 1")
         return SpectrumType("III", "a", m=s - n, n=n)
     if a1 < a_line:
-        assert s - n >= 1
+        _invariant(s - n >= 1, "III.2: index m < 1")
         return SpectrumType("III", "2", m=s - n, n=n)
-    assert s - n + 1 >= 1
+    _invariant(s - n + 1 >= 1, "III.1: index m < 1")
     return SpectrumType("III", "1", m=s - n + 1, n=n)
 
 
@@ -324,8 +337,8 @@ def detect_period(p: AlgebraParams, count: int = 30) -> PeriodReport:
     if any(w <= 0 for w in omegas):
         raise NotPeriodic("ground levels are degenerate or a period or more apart")
     if lam == 3:
-        assert omegas == period3_omegas(p, classify3(p)), \
-            "period detector disagrees with closed forms"
+        _invariant(omegas == period3_omegas(p, classify3(p)),
+                   "period detector disagrees with closed forms")
     return PeriodReport(omegas=omegas, ground_order=tuple(mu for _, mu in ground))
 
 

@@ -33,6 +33,16 @@ def params3(a0, a1):
     return new_params(3, [Fraction(a0), Fraction(a1)])
 
 
+def reference_energy(p, n):
+    """E(n) = n + 1/2 + (beta_mu + beta_{mu+1}) / 2 with beta_lambda = 0, mu = n mod lambda.
+
+    Built from ``p.betas`` alone, independent of ``AlgebraParams.energy``.
+    """
+    mu = n % p.lam
+    upper = p.betas[mu + 1] if mu + 1 < p.lam else 0
+    return n + Fraction(1, 2) + (p.betas[mu] + upper) / 2
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240826)

@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cext_osc import (
+    AlgebraParams,
     ExistenceViolation,
     InadmissibleParams,
     KappaPair,
@@ -14,7 +18,7 @@ from cext_osc import (
 )
 from cext_osc.algebra import parse_rational
 
-from conftest import params3
+from conftest import params3, reference_energy
 
 
 def iterate_structure(alphas, n):
@@ -134,6 +138,50 @@ class TestGammaAndEnergy:
         for n in range(12):
             mid = (p.structure_function(n) + p.structure_function(n + 1)) / 2
             assert p.energy(n) == mid
+
+
+class TestGroundLevelCache:
+    """The ground levels are computed once, on first use, and never leak between points."""
+
+    def test_one_gamma_call_on_first_use(self, monkeypatch):
+        calls = []
+        gamma = AlgebraParams.gamma_coeffs
+        monkeypatch.setattr(AlgebraParams, "gamma_coeffs",
+                            lambda self: calls.append(self) or gamma(self))
+        p = new_params(4, [Fraction(1, 3), Fraction(-1, 4), 2])
+        assert calls == []
+        energies = [p.energy(n) for n in range(40)]
+        assert len(calls) == 1
+        assert energies == [reference_energy(p, n) for n in range(40)]
+
+    def test_warm_equals_cold(self):
+        warm, cold = params3(Fraction(1, 3), 7), params3(Fraction(1, 3), 7)
+        warm.energy(11)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
+    def test_survives_pickle_and_copy(self, clone):
+        p = params3(Fraction(5, 2), -3)
+        p.energy(0)
+        q = clone(p)
+        assert q == p
+        assert hash(q) == hash(p)
+        assert [q.energy(n) for n in range(12)] == [reference_energy(p, n) for n in range(12)]
+
+    def test_replace_recomputes(self):
+        p = params3(0, 6)
+        p.energy(0)
+        other = params3(10, 4)
+        q = dataclasses.replace(p, alphas=other.alphas, betas=other.betas)
+        assert [q.energy(n) for n in range(12)] == [reference_energy(other, n) for n in range(12)]
+        assert q.energy(1) != p.energy(1)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            params3(0, 6).energy(-1)
 
 
 class TestKappaMap:

@@ -174,6 +174,17 @@ class TestSweep:
         assert len(point_lines) == 4
         assert all("label" in l and "alpha0" in l for l in point_lines)
 
+    def test_grid_reports_inadmissible_points(self, runner):
+        res = run(runner, "sweep", "--grid", "-1:0:1,0:0:1")
+        assert res.exit_code == 0
+        bad, good, summary = [json.loads(l) for l in res.output.strip().splitlines()]
+        assert list(bad) == ["alpha0", "alpha1", "error"]
+        assert (bad["alpha0"], bad["alpha1"]) == ("-1", "0")
+        assert "F(1) = 0" in bad["error"]
+        assert list(good) == ["alpha0", "alpha1", "label", "oracle_agrees"]
+        assert summary["points"] == 2
+        assert summary["labels"] == {good["label"]: 1}
+
     def test_random_deterministic(self, runner):
         a = run(runner, "sweep", "--random", "20", "--seed", "7")
         b = run(runner, "sweep", "--random", "20", "--seed", "7")

@@ -1,10 +1,17 @@
+import os
 import random
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cext_osc
 from cext_osc import (
+    AlgebraParams,
     NotPeriodic,
     PeriodReport,
     SpectrumType,
@@ -22,13 +29,14 @@ from cext_osc import (
 from cext_osc.spectrum import (
     DEG_VARIANTS,
     NONDEG_VARIANTS,
+    InvariantViolation,
     lowest_double_position,
     oracle_agrees,
     period3_omegas,
     random_admissible_params,
 )
 
-from conftest import CAPTION_CASES, params3
+from conftest import CAPTION_CASES, params3, reference_energy
 
 ALL_VARIANT_TYPES = [
     SpectrumType("I", v, n=n)
@@ -82,12 +90,42 @@ def prefix_detect_period(p, count):
     repeating part of the spectrum.
     """
     lam = p.lam
-    energies = sorted(p.energy(n) for n in range(count))
+    energies = sorted(reference_energy(p, n) for n in range(count))
     spacings = [b - a for a, b in zip(energies, energies[1:])]
     if any(s <= 0 or spacings[i % lam] != s for i, s in enumerate(spacings)):
         raise NotPeriodic("reference: spacings do not repeat")
     return PeriodReport(omegas=tuple(spacings[:lam]),
-                        ground_order=tuple(sorted(range(lam), key=p.energy)))
+                        ground_order=tuple(sorted(range(lam),
+                                                  key=lambda mu: reference_energy(p, mu))))
+
+
+def reference_groups(p, count):
+    """Levels 0 .. count-1 grouped by their reference energy, ascending."""
+    by_energy = {}
+    for n in range(count):
+        by_energy.setdefault(reference_energy(p, n), []).append(n)
+    return tuple((e, tuple(by_energy[e])) for e in sorted(by_energy))
+
+
+@st.composite
+def admissible_params(draw, lams=st.integers(min_value=2, max_value=7)):
+    """Any lambda: beta_mu > -mu for mu >= 1 is Fock-space existence, F(mu) > 0."""
+    lam = draw(lams)
+    betas = [Fraction(0)] + [
+        draw(st.fractions(min_value=-mu, max_value=30, max_denominator=12)
+             .filter(lambda b, mu=mu: b > -mu))
+        for mu in range(1, lam)]
+    return new_params(lam, [b1 - b0 for b0, b1 in zip(betas, betas[1:])])
+
+
+def unchecked_params3(a0, a1):
+    """A lambda=3 point built without AlgebraParams' validation, so it may lie outside the domain."""
+    alphas = (Fraction(a0), Fraction(a1), -Fraction(a0) - Fraction(a1))
+    p = object.__new__(AlgebraParams)
+    for name, value in (("lam", 3), ("alphas", alphas),
+                        ("betas", (Fraction(0), alphas[0], alphas[0] + alphas[1]))):
+        object.__setattr__(p, name, value)
+    return p
 
 
 def period_or_none(detect, p, count):
@@ -158,18 +196,19 @@ class TestDegeneracyPattern:
 
     @pytest.mark.parametrize("lam", [2, 3, 4, 5])
     def test_matches_sorted_energies(self, lam):
-        # reference: every level's energy from AlgebraParams.energy, sorted
         rng = random.Random(10 + lam)
         pts = [random_admissible_params(rng, lam=lam, max_numer=3) for _ in range(20)]
         if lam == 3:
             pts += [representative_params(t) for t in ALL_VARIANT_TYPES[::7]]
         for p in pts:
             count = 20 * lam + 1
-            by_energy = {}
-            for n in range(count):
-                by_energy.setdefault(p.energy(n), []).append(n)
-            want = tuple((e, tuple(by_energy[e])) for e in sorted(by_energy))
-            assert degeneracy_pattern(p, count).groups == want, p.alphas
+            assert degeneracy_pattern(p, count).groups == reference_groups(p, count), p.alphas
+
+    @given(admissible_params(), st.integers(min_value=1, max_value=300))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_reference(self, p, count):
+        assert [p.energy(n) for n in range(count)] == [reference_energy(p, n) for n in range(count)]
+        assert degeneracy_pattern(p, count).groups == reference_groups(p, count)
 
 
 class TestSpectrumType:
@@ -190,6 +229,20 @@ class TestClassify3:
     def test_rejects_other_lambda(self):
         with pytest.raises(UnsupportedLambda):
             classify3(new_params(2, [Fraction(1, 2)]))
+
+    @pytest.mark.parametrize("a0,a1,branch", [
+        (-5, -5, "class I"),
+        (2, -4, "I.abc"),
+        (2, -10, "III.abc"),
+        (2, -5, "III.c"),
+        (3, -10, "III.b"),
+        (3, -5, "III.a"),
+        (3, -7, "III.2"),
+        (3, Fraction(-21, 2), "III.1"),
+    ])
+    def test_out_of_domain_raises_invariant_violation(self, a0, a1, branch):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(branch)}:"):
+            classify3(unchecked_params3(a0, a1))
 
     @pytest.mark.parametrize("t", ALL_VARIANT_TYPES)
     def test_representative_round_trip(self, t):
@@ -355,6 +408,28 @@ class TestDetectPeriod:
         rep = detect_period(p, 30)
         assert rep.big_omega == 4
         assert rep == prefix_detect_period(p, 400)
+
+    def test_closed_form_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr("cext_osc.spectrum.period3_omegas", lambda p, t: None)
+        with pytest.raises(InvariantViolation, match="closed forms"):
+            detect_period(params3(0, Fraction(1, 2)))
+
+    def test_closed_form_mismatch_raises_under_optimize(self):
+        # python -O strips assert statements; the invariant must still raise
+        script = textwrap.dedent("""
+            import sys
+            from cext_osc import new_params, spectrum
+            print(sys.flags.optimize)
+            spectrum.period3_omegas = lambda p, t: None
+            spectrum.detect_period(new_params(3, [0, "1/2"]))
+        """)
+        src = os.path.dirname(os.path.dirname(cext_osc.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "1\n"
+        assert proc.returncode != 0
+        assert "InvariantViolation: period detector disagrees with closed forms" in proc.stderr
 
     def test_short_prefix_does_not_fake_a_period(self):
         # level 1 starts over five periods above the ground, yet the spacings

@@ -9,18 +9,10 @@ from .algebra import (
     KappaPair,
     Rational,
     UnsupportedLambda,
+    WindowViolation,
     alpha_to_kappa,
     kappa_to_alpha,
     new_params,
-)
-from .fockrep import (
-    NegativeStructureValue,
-    OperatorSet,
-    RelationReport,
-    build_operators,
-    normalization_constant,
-    normalization_constant_gamma,
-    verify_relations,
 )
 from .spectrum import (
     DegeneracyPattern,
@@ -40,15 +32,47 @@ from .spectrum import (
     representative_params,
     susy_window,
 )
-from .susy import (
-    SqmReport,
-    SusyHierarchy,
-    WindowViolation,
-    build_hierarchy,
-    check_interlacing,
-    cyclic_shift,
-    projection_shift_identity,
-    verify_sqm,
+
+# The matrix layers need NumPy, so their names are looked up on first use
+# (PEP 562) and the exact layers import without it.  The lookup is not cached
+# here: the module's own binding stays the one source, so rebinding it there
+# is seen through the package too.
+_LAZY = {
+    "fockrep": (
+        "OperatorSet",
+        "RelationReport",
+        "build_operators",
+        "normalization_constant",
+        "normalization_constant_gamma",
+        "verify_relations",
+    ),
+    "susy": (
+        "SqmReport",
+        "SusyHierarchy",
+        "build_hierarchy",
+        "check_interlacing",
+        "cyclic_shift",
+        "projection_shift_identity",
+        "verify_sqm",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    if name in _LAZY_OWNER:
+        return getattr(__getattr__(_LAZY_OWNER[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | set(_LAZY) | set(_LAZY_OWNER)
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

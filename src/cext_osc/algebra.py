@@ -33,6 +33,10 @@ class InadmissibleParams(ValueError):
     """Parameters outside the admissible domain."""
 
 
+class WindowViolation(ValueError):
+    """Some spacing 1 + alpha_mu is <= 0: no supersymmetric hierarchy."""
+
+
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, float):
         raise TypeError(

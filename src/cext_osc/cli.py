@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from .algebra import (
     AlgebraParams,
     ExistenceViolation,
     InadmissibleParams,
+    WindowViolation,
     new_params,
     parse_rational,
 )
@@ -25,16 +27,17 @@ from .spectrum import (
     degeneracy_pattern,
     detect_period,
     oracle_agrees,
+    random_admissible_params,
     susy_window,
 )
-from .susy import WindowViolation, build_hierarchy, check_interlacing, \
-    projection_shift_identity, verify_sqm
 
 SCHEMA_VERSION = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAIL = 3
 # The library's errors for input outside its domain; any other exception is a fault.
 INPUT_ERRORS = (InadmissibleParams, ExistenceViolation, WindowViolation)
+# Bare `cext-osc` prints the help; click >= 8.2 raises that as a UsageError.
+_PRINTS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
 def _collect_params(lam, alpha0, alpha1, alphas):
@@ -116,19 +119,34 @@ def param_options(fn):
     return fn
 
 
+@contextmanager
+def _invalid_input_exits_2():
+    try:
+        yield
+    except _PRINTS_HELP:
+        raise
+    except (click.UsageError, *INPUT_ERRORS) as exc:
+        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+        click.echo(f"error: {message}", err=True)
+        sys.exit(EXIT_INVALID)
+
+
 class _Commands(click.Group):
     """Command group with the CLI's one validation boundary.
 
-    An input error that reaches here ends in exit 2 with a one-line error,
-    never in a traceback; any other exception is left to propagate.
+    Invalid input, whether click's usage error or the library's input error,
+    ends in exit 2 with one ``error:`` line on stderr, never in a traceback;
+    any other exception is left to propagate.
     """
 
+    def parse_args(self, ctx, args):
+        # the group's own options (`cext-osc --bogus`) are parsed before invoke
+        with _invalid_input_exits_2():
+            return super().parse_args(ctx, args)
+
     def invoke(self, ctx):
-        try:
+        with _invalid_input_exits_2():
             return super().invoke(ctx)
-        except INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INVALID)
 
 
 @click.group(cls=_Commands)
@@ -175,6 +193,9 @@ def spectrum(alpha0, alpha1, alphas, lam, count):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def susy(alpha0, alpha1, alphas, lam, trunc, tol):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
+    # imported here so that only the commands that build matrices load NumPy
+    from .susy import build_hierarchy, check_interlacing, projection_shift_identity, verify_sqm
+
     p = _collect_params(lam, alpha0, alpha1, alphas)
     hier = build_hierarchy(p, trunc)
     rep = verify_sqm(hier, tol)
@@ -232,8 +253,6 @@ def _grid_points(spec: str):
               show_default=True)
 def sweep(grid, n_random, seed, count):
     """Classify many lambda=3 points, JSON-lines output plus a summary line."""
-    from .spectrum import random_admissible_params
-
     if (grid is None) == (n_random is None):
         raise InadmissibleParams("give exactly one of --grid / --random")
     if grid is not None:
@@ -279,6 +298,9 @@ class DiagramSpec:
 def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> DiagramSpec:
     lam = p.lam
     if susy_mode:
+        # imported here so that a diagram of the Fock columns does not load NumPy
+        from .susy import build_hierarchy
+
         hier = build_hierarchy(p, max(3 * count, 2 * lam))
         cols = tuple(
             tuple((n, hier.diagonals[mu][n]) for n in range(count))

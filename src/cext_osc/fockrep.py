@@ -11,10 +11,6 @@ import numpy as np
 from .algebra import AlgebraParams, InadmissibleParams, UnsupportedLambda
 
 
-class NegativeStructureValue(ValueError):
-    """F(n) < 0 somewhere below the truncation: no real ladder matrix elements."""
-
-
 @dataclass(frozen=True)
 class OperatorSet:
     """Dense K x K complex matrices for N, a, a+, T, P_mu and H0.
@@ -41,7 +37,9 @@ class OperatorSet:
 def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     """Build all generator matrices at truncation ``trunc`` (>= 2*lambda).
 
-    a+ has subdiagonal sqrt(F(n+1)); a is its conjugate transpose; T is the
+    a+ has subdiagonal sqrt(F(n+1)), real because an admissible point has
+    F(lambda k + mu) = lambda k + F(mu) > 0 above the vacuum; a is its
+    conjugate transpose; T is the
     diagonal cyclic-group generator exp(2 pi i n / lambda); H0 is assembled
     from the matrix product (a a+ + a+ a)/2 rather than from the closed-form
     energies so spectrum checks stay independent.
@@ -50,9 +48,6 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     if trunc < 2 * lam:
         raise InadmissibleParams(f"truncation {trunc} too small, need >= {2 * lam}")
     fvals = [p.structure_function(n) for n in range(trunc)]
-    for n in range(1, trunc):
-        if fvals[n] < 0:
-            raise NegativeStructureValue(f"F({n}) = {fvals[n]} < 0")
     a_dag = np.zeros((trunc, trunc), dtype=complex)
     for n in range(trunc - 1):
         a_dag[n + 1, n] = math.sqrt(float(fvals[n + 1]))

@@ -13,12 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, InadmissibleParams, new_params
+from .algebra import AlgebraParams, InadmissibleParams, WindowViolation, new_params
 from .fockrep import OperatorSet, _interior_max, build_operators
-
-
-class WindowViolation(ValueError):
-    """Some spacing 1 + alpha_mu is <= 0: no supersymmetric hierarchy."""
 
 
 def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:

@@ -27,12 +27,24 @@ def run(runner, *args, env=None):
     (["spectrum", "--count", "-3"], None),
     (["sweep", "--random", "0"], None),
     (["sweep", "--random", "-5"], None),
+    (["--bogus"], None),
+    (["bogus"], None),
+    (["classify", "--format", "xml"], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
+    # click's usage errors and the library's input errors end the same way
     res = run(runner, *args, env=env)
     assert res.exit_code == EXIT_INVALID
     assert res.stdout == ""
-    assert res.stderr.splitlines()[-1].lower().startswith("error: ")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
+
+
+def test_bare_command_prints_help(runner):
+    # not an input error: the exit code is click's, which differs by version
+    res = runner.invoke(main, [])
+    assert "Commands:" in res.output
+    assert "error:" not in res.output.lower()
 
 
 def _raise_value_error(*args):

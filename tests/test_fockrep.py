@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cext_osc import (
+    AlgebraParams,
     build_operators,
     new_params,
     normalization_constant,
@@ -53,6 +54,15 @@ class TestBuildOperators:
     def test_truncation_floor(self):
         with pytest.raises(ValueError):
             build_operators(new_params(3, [0, 0]), 5)
+
+    def test_out_of_domain_point_still_raises(self):
+        # F(1) = 1 + beta_1 = -1; new_params refuses this point, so build it raw
+        p = object.__new__(AlgebraParams)
+        for name, value in (("lam", 3), ("alphas", (Fraction(-2), Fraction(2), Fraction(0))),
+                            ("betas", (Fraction(0), Fraction(-2), Fraction(0)))):
+            object.__setattr__(p, name, value)
+        with pytest.raises(ValueError, match="math domain"):
+            build_operators(p, 6)
 
     def test_projectors_partition_levels(self):
         ops = build_operators(params3(0, 6), 9)

@@ -1,0 +1,140 @@
+"""The import boundary: the exact layers and commands run without NumPy.
+
+The process tests start the CLI in a fresh interpreter, because the test
+session itself has NumPy loaded long before any test runs.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cext_osc
+from cext_osc import fockrep, susy
+from cext_osc.cli import EXIT_INVALID, main
+
+SRC = str(Path(cext_osc.__file__).resolve().parents[1])
+PROG = "python -m cext_osc.cli"
+# Runs the CLI as `python -m cext_osc.cli` would, then reports on a last
+# stderr line whether NumPy was loaded.  With "block" first, NumPy is made
+# unimportable: `import numpy` raises ImportError.
+RUN_CLI = """
+import runpy, sys
+if sys.argv.pop(1) == "block":
+    sys.modules["numpy"] = None
+try:
+    runpy.run_module("cext_osc.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(sys.modules.get("numpy") is not None, file=sys.stderr)
+"""
+EXACT_COMMANDS = [
+    ["classify", "--alpha0", "0", "--alpha1", "6"],
+    ["spectrum", "--alpha0", "2", "--alpha1", "8"],
+    ["sweep", "--random", "20", "--seed", "0"],
+    ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii"],
+    ["diagram", "--alpha0", "2", "--alpha1", "8"],
+    ["--help"],
+]
+MATRIX_COMMANDS = [
+    ["susy", "--alpha0", "0", "--alpha1", "1/2"],
+    ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii", "--susy"],
+]
+
+
+def python(*args):
+    # click wraps the help to COLUMNS; in_process sets the same width
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def cli_process(args, block_numpy=False):
+    """(exit code, stdout, stderr, NumPy loaded) of the CLI in a fresh process."""
+    proc = python("-c", RUN_CLI, "block" if block_numpy else "allow", *args)
+    *stderr, loaded = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, stderr, loaded == "True"
+
+
+@pytest.fixture
+def in_process(capsys, monkeypatch):
+    """Stdout of ``main`` run on the same arguments in this process.
+
+    Not CliRunner: it wraps the help at 80 columns, which no terminal gets.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(args):
+        with pytest.raises(SystemExit) as done:
+            main.main(args, prog_name=PROG)
+        assert done.value.code == 0
+        return capsys.readouterr().out
+    return run
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    proc = python("-c", "import sys, cext_osc.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("args", EXACT_COMMANDS, ids=" ".join)
+def test_exact_command_runs_without_numpy(args, in_process):
+    code, stdout, stderr, loaded = cli_process(args, block_numpy=True)
+    assert code == 0, stderr
+    assert not loaded
+    assert stdout == in_process(args)
+
+
+@pytest.mark.parametrize("args", MATRIX_COMMANDS, ids=" ".join)
+def test_matrix_command_loads_numpy(args, in_process):
+    code, stdout, stderr, loaded = cli_process(args)
+    assert code == 0, stderr
+    assert loaded
+    assert stdout == in_process(args)
+
+
+def test_susy_outside_window_is_one_error_line():
+    # admissible (F(1), F(2) > 0) but 1 + alpha_2 = -5 <= 0: no hierarchy
+    code, stdout, stderr, _ = cli_process(["susy", "--alpha0", "0", "--alpha1", "6"])
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert len(stderr) == 1 and stderr[0].startswith("error: ")
+
+
+class TestLazyNames:
+    def test_matrix_names_import_from_the_package(self):
+        from cext_osc import SusyHierarchy, build_operators, verify_sqm
+
+        assert build_operators is fockrep.build_operators
+        assert verify_sqm is susy.verify_sqm
+        assert SusyHierarchy is susy.SusyHierarchy
+
+    def test_dir_and_all_list_the_lazy_names(self):
+        names = dir(cext_osc)
+        for name in ("build_operators", "verify_sqm", "SusyHierarchy", "fockrep", "susy"):
+            assert name in names and name in cext_osc.__all__
+        assert "NegativeStructureValue" not in cext_osc.__all__
+        for name in cext_osc.__all__:
+            getattr(cext_osc, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cext_osc.no_such_name
+        assert not hasattr(cext_osc, "NegativeStructureValue")
+
+    def test_lookup_is_not_cached(self, monkeypatch):
+        # a rebinding in the owning module is seen through the package and
+        # undone with it
+        original = fockrep.build_operators
+        assert cext_osc.build_operators is original
+        assert "build_operators" not in vars(cext_osc)
+        monkeypatch.setattr(fockrep, "build_operators", len)
+        assert cext_osc.build_operators is len
+        monkeypatch.undo()
+        assert cext_osc.build_operators is original
+
+    def test_window_violation_is_one_class(self):
+        assert cext_osc.WindowViolation is susy.WindowViolation

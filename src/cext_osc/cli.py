@@ -408,8 +408,11 @@ def diagram(alpha0, alpha1, alphas, lam, count, out, ascii_mode, susy_mode):
     if out is None:
         click.echo(render_svg(spec))
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(spec))
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(render_svg(spec))
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
     click.echo(f"wrote {out}")
 
 

@@ -369,24 +369,22 @@ def random_admissible_params(
     max_numer: int = 30,
     max_denom: int = 12,
 ) -> AlgebraParams:
-    """Draw a uniform-ish random admissible rational parameter vector."""
+    """Draw a uniform-ish random admissible rational parameter vector.
+
+    A draw that breaks Fock existence is redrawn; lambda < 2 raises
+    :class:`InadmissibleParams`.
+    """
     while True:
         head = []
         lo = Fraction(-1)
-        ok = True
         for mu in range(lam - 1):
             q = rng.randint(1, max_denom)
             lo_int = math.floor(lo * q)
             a = Fraction(rng.randint(lo_int, max_numer * q), q)
             # existence needs F(mu+1) = mu + 1 + sum(head) + a > 0
             if mu + 1 + sum(head, Fraction(0)) + a <= 0:
-                ok = False
                 break
             head.append(a)
             lo = -Fraction(mu + 2) - sum(head, Fraction(0))
-        if not ok:
-            continue
-        try:
+        else:
             return new_params(lam, head)
-        except ValueError:
-            continue

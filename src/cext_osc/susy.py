@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraParams, InadmissibleParams, WindowViolation, new_params
-from .fockrep import OperatorSet, _interior_max, build_operators
+from .fockrep import OperatorSet, _interior_max, _projector_sum, build_operators
 
 
 def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
@@ -38,11 +38,11 @@ class SusyHierarchy:
     member on level n. The mu-th factorization is the 2 x 2 block system
     H = diag(H_mu, H_{mu+1}) - E_mu, Q = [[0, 0], [a, 0]], Q+ = [[0, a+], [0, 0]]
     with a, a+ from ``shifted_ops[mu]`` and E_mu = ``ground_energies[mu]``;
-    only these K x K blocks are stored, never a 2K x 2K matrix.
+    only these K x K blocks are stored, never a 2K x 2K matrix.  The mu-th
+    shifted algebra is ``shifted_ops[mu].params``.
     """
 
     base: AlgebraParams
-    shifted: tuple[AlgebraParams, ...]
     omegas: tuple[Fraction, ...]
     ground_energies: tuple[Fraction, ...]
     diagonals: tuple[tuple[Fraction, ...], ...]
@@ -69,8 +69,7 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     for mu, w in enumerate(omegas):
         if w <= 0:
             raise WindowViolation(f"omega_{mu} = {w} <= 0")
-    shifted = tuple(cyclic_shift(p, mu) for mu in range(lam))
-    shifted_ops = tuple(build_operators(q, trunc) for q in shifted)
+    shifted_ops = tuple(build_operators(cyclic_shift(p, mu), trunc) for mu in range(lam))
     ground = [Fraction(0)]
     for w in omegas:
         ground.append(ground[-1] + w)
@@ -79,7 +78,7 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
         for mu in range(lam + 1)
     )
     return SusyHierarchy(
-        base=p, shifted=shifted, omegas=omegas, ground_energies=tuple(ground),
+        base=p, omegas=omegas, ground_energies=tuple(ground),
         diagonals=diagonals, shifted_ops=shifted_ops, trunc=trunc,
     )
 
@@ -187,33 +186,28 @@ def projection_shift_identity(h: SusyHierarchy, tol: float = 1e-12) -> bool:
     Member mu must equal H0 of the mu-th shifted algebra minus half the
     spacing-weighted projector sum plus the ground energy; for lambda = 3
     the explicit rewrites in terms of the base bosonic Hamiltonian are
-    checked as well.
+    checked as well.  Every operator here is diagonal, so the check compares
+    length-K vectors.
     """
     lam, trunc = h.lam, h.trunc
     cut = trunc - 1
     members = np.array(h.diagonals, dtype=float)
-    projectors = h.shifted_ops[0].projectors
     for mu in range(lam):
         ops = h.shifted_ops[mu]
-        combo = sum(
-            float(1 + h.shifted[mu].alphas[nu]) * projectors[nu] for nu in range(lam)
-        )
-        rhs = ops.h0 - combo / 2 + float(h.ground_energies[mu]) * np.eye(trunc)
-        if _interior_max(rhs - np.diag(members[mu]), cut) >= tol:
+        combo = _projector_sum([float(1 + a) for a in ops.params.alphas], trunc)
+        rhs = ops.h0 - combo / 2 + float(h.ground_energies[mu])
+        if _interior_max(rhs - members[mu], cut) >= tol:
             return False
     if lam == 3:
         a = h.base.alphas
         h0_base = h.shifted_ops[0].h0
         combos = [
-            sum(-float(1 + a[nu]) / 2 * projectors[nu] for nu in range(3)),
-            sum(float(1 + a[nu]) / 2 * projectors[nu] for nu in range(3)),
-            sum(
-                float(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 * projectors[nu]
-                for nu in range(3)
-            ),
+            [-float(1 + a[nu]) / 2 for nu in range(3)],
+            [float(1 + a[nu]) / 2 for nu in range(3)],
+            [float(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)],
         ]
         for mu in range(3):
-            rhs = h0_base + combos[mu]
-            if _interior_max(rhs - np.diag(members[mu]), cut) >= tol:
+            rhs = h0_base + _projector_sum(combos[mu], trunc)
+            if _interior_max(rhs - members[mu], cut) >= tol:
                 return False
     return True

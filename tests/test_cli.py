@@ -30,6 +30,8 @@ def run(runner, *args, env=None):
     (["--bogus"], None),
     (["bogus"], None),
     (["classify", "--format", "xml"], None),
+    (["diagram", "--out", "no-such-dir/levels.svg"], None),
+    (["diagram", "--out", "."], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
     # click's usage errors and the library's input errors end the same way

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,15 +7,17 @@ import pytest
 
 from cext_osc import (
     AlgebraParams,
+    build_hierarchy,
     build_operators,
     new_params,
     normalization_constant,
     normalization_constant_gamma,
+    projection_shift_identity,
     verify_relations,
 )
 from cext_osc.spectrum import random_admissible_params
 
-from conftest import params3
+from conftest import params3, random_susy_params
 
 
 class TestBuildOperators:
@@ -36,7 +39,7 @@ class TestBuildOperators:
     def test_h0_interior_diag_exact_and_boundary_polluted(self):
         p = new_params(3, [0, 0])
         ops = build_operators(p, 6)
-        diag = np.diag(ops.h0).real
+        diag = ops.h0
         for n in range(5):
             assert diag[n] == pytest.approx(float(p.energy(n)), abs=1e-12)
         # last entry misses the a a+ contribution above the cutoff
@@ -47,7 +50,7 @@ class TestBuildOperators:
         for _ in range(10):
             p = random_admissible_params(rng)
             ops = build_operators(p, 40)
-            diag = np.diag(ops.h0).real
+            diag = ops.h0
             for n in range(39):
                 assert abs(diag[n] - float(p.energy(n))) < 1e-12
 
@@ -64,11 +67,78 @@ class TestBuildOperators:
         with pytest.raises(ValueError, match="math domain"):
             build_operators(p, 6)
 
-    def test_projectors_partition_levels(self):
+    def test_stores_ladder_and_diagonals_only(self):
         ops = build_operators(params3(0, 6), 9)
-        for mu in range(3):
-            d = np.diag(ops.projectors[mu]).real
-            assert all(d[n] == (1 if n % 3 == mu else 0) for n in range(9))
+        names = [f.name for f in dataclasses.fields(ops)]
+        assert names == ["params", "trunc", "a", "a_dag", "t", "h0"]
+        assert ops.t.shape == ops.h0.shape == (9,)
+
+    def test_h0_is_the_diagonal_of_the_ladder_products(self, rng):
+        for lam in (2, 3, 5):
+            p = random_admissible_params(rng, lam=lam, max_numer=8)
+            ops = build_operators(p, 20)
+            dense = (ops.a @ ops.a_dag + ops.a_dag @ ops.a) / 2
+            np.testing.assert_array_equal(dense, np.diag(ops.h0))
+
+
+def dense_relations(ops, p):
+    """The nine residuals from dense K x K matrices, as the relations are written.
+
+    N, T and every P_mu are expanded into diagonal matrices and multiplied
+    with matrix products, independently of the elementwise route of
+    :func:`verify_relations`.
+    """
+    lam, k = p.lam, ops.trunc
+    cut = k - 1
+    eye = np.eye(k, dtype=complex)
+    n_op = np.diag(np.arange(k)).astype(complex)
+    t = np.diag(ops.t)
+    projectors = [np.diag((np.arange(k) % lam == mu).astype(complex)) for mu in range(lam)]
+    f_diag = np.diag([float(p.structure_function(n)) for n in range(k)])
+    f_shift = np.diag([float(p.structure_function(n + 1)) for n in range(k)])
+    g_comb = eye + sum(float(p.alphas[mu]) * projectors[mu] for mu in range(lam))
+    a, a_dag = ops.a, ops.a_dag
+
+    def interior(m):
+        return float(np.max(np.abs(m[:cut, :cut])))
+
+    return {
+        "number_ladder": interior(n_op @ a_dag - a_dag @ n_op - a_dag),
+        "deformed_commutator": interior(a @ a_dag - a_dag @ a - g_comb),
+        "ladder_twist": interior(a_dag @ t - np.exp(-2j * np.pi / lam) * (t @ a_dag)),
+        "cyclic_order": interior(np.linalg.matrix_power(t, lam) - eye),
+        "lowering_product": interior(a_dag @ a - f_diag),
+        "raising_product": interior(a @ a_dag - f_shift),
+        "projector_algebra": max(
+            interior(projectors[mu] @ projectors[nu] - (projectors[mu] if mu == nu else 0))
+            for mu in range(lam) for nu in range(lam)),
+        "projector_resolution": interior(sum(projectors) - eye),
+        "cyclic_unitary": interior(t @ t.conj().T - eye),
+    }
+
+
+def _off_band_entry(ops):
+    a_dag = ops.a_dag.copy()
+    a_dag[2, 0] = 0.5
+    return dataclasses.replace(ops, a_dag=a_dag)
+
+
+def _scaled_ladder_entry(ops):
+    a_dag = ops.a_dag.copy()
+    a_dag[3, 2] *= 1.001
+    return dataclasses.replace(ops, a=a_dag.conj().T, a_dag=a_dag)
+
+
+def _rotated_phase(ops):
+    t = ops.t.copy()
+    t[1] *= np.exp(1j * np.pi / ops.params.lam)
+    return dataclasses.replace(ops, t=t)
+
+
+def _scaled_phase(ops):
+    t = ops.t.copy()
+    t[1] *= 1.001
+    return dataclasses.replace(ops, t=t)
 
 
 class TestVerifyRelations:
@@ -103,6 +173,44 @@ class TestVerifyRelations:
             p = random_admissible_params(rng, lam=lam, max_numer=8)
             rep = verify_relations(build_operators(p, 240), p, tol=1e-12)
             assert rep.all_pass, (lam, p.alphas, rep.failures)
+
+    @pytest.mark.parametrize("trunc", [15, 60])
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_matches_dense_reference(self, rng, lam, trunc):
+        for _ in range(3):
+            p = random_admissible_params(rng, lam=lam, max_numer=8)
+            ops = build_operators(p, trunc)
+            rep = verify_relations(ops, p)
+            want = dense_relations(ops, p)
+            assert set(rep.residuals) == set(want)
+            for name, value in want.items():
+                assert abs(rep.residuals[name] - value) < 1e-15, name
+
+    # projector_algebra and projector_resolution read no stored state: N and
+    # the P_mu are rebuilt from n and n % lambda, so they hold by construction
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    @pytest.mark.parametrize("corrupt,broken", [
+        (_off_band_entry, {"number_ladder", "ladder_twist"}),
+        (_scaled_ladder_entry, {"deformed_commutator", "lowering_product", "raising_product"}),
+        (_rotated_phase, {"cyclic_order"}),
+        (_scaled_phase, {"cyclic_unitary"}),
+    ])
+    def test_corrupted_operators_fail(self, rng, lam, corrupt, broken):
+        p = random_admissible_params(rng, lam=lam, max_numer=8)
+        ops = build_operators(p, 20)
+        assert verify_relations(ops, p).all_pass
+        failures = verify_relations(corrupt(ops), p).failures
+        assert broken <= set(failures), failures
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_shifted_h0_fails_projection_shift_identity(self, rng, lam):
+        h = build_hierarchy(random_susy_params(rng, lam=lam), trunc=20)
+        assert projection_shift_identity(h)
+        ops = h.shifted_ops[1]
+        h0 = ops.h0.copy()
+        h0[4] += 1e-3
+        shifted_ops = (h.shifted_ops[0], dataclasses.replace(ops, h0=h0), *h.shifted_ops[2:])
+        assert not projection_shift_identity(dataclasses.replace(h, shifted_ops=shifted_ops))
 
     def test_report_shape(self):
         p = params3(0, 6)

@@ -451,3 +451,22 @@ class TestSusyWindow:
             a0, a1 = p.alphas[0], p.alphas[1]
             printed = -1 < a0 < 2 and -1 < a1 < 1 - a0
             assert susy_window(p) == printed, p.alphas
+
+
+class TestRandomAdmissibleParams:
+    def test_lambda_below_two_raises(self):
+        # in a subprocess with a timeout: a retry loop would hang, not fail
+        script = textwrap.dedent("""
+            import random
+            from cext_osc.spectrum import random_admissible_params
+            random_admissible_params(random.Random(0), lam=1)
+        """)
+        src = os.path.dirname(os.path.dirname(cext_osc.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("random_admissible_params(lam=1) does not return")
+        assert proc.returncode != 0
+        assert "InadmissibleParams: lambda must be >= 2, got 1" in proc.stderr

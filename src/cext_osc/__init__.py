@@ -17,7 +17,6 @@ from .algebra import (
 from .spectrum import (
     DegeneracyPattern,
     InvariantViolation,
-    Level,
     NotPeriodic,
     PatternDescriptor,
     PeriodReport,
@@ -29,6 +28,7 @@ from .spectrum import (
     expected_prefix,
     levels,
     oracle_agrees,
+    order_key,
     representative_params,
     susy_window,
 )

@@ -23,7 +23,6 @@ from .algebra import (
 from .spectrum import (
     NotPeriodic,
     classify3,
-    classify_oracle,
     degeneracy_pattern,
     detect_period,
     oracle_agrees,
@@ -67,21 +66,14 @@ def _base_report(p: AlgebraParams) -> dict:
     }
 
 
-def _groups_json(p: AlgebraParams, count: int) -> list[dict]:
-    pat = degeneracy_pattern(p, count)
-    return [
-        {"energy": str(e), "indices": list(idx)} for e, idx in pat.groups
-    ]
-
-
 def classification_report(p: AlgebraParams, count: int = 30) -> dict:
     """Full classification report; oracle descriptor for lambda != 3."""
     rep = _base_report(p)
-    oracle = classify_oracle(p, count)
-    rep["degeneracy_groups"] = _groups_json(p, count)
+    groups = degeneracy_pattern(p, count).groups
+    rep["degeneracy_groups"] = [{"energy": str(e), "indices": list(idx)} for e, idx in groups]
     rep["descriptor"] = {
-        "multiplicities": list(oracle.multiplicities),
-        "index_order": list(oracle.index_order),
+        "multiplicities": [len(idx) for _, idx in groups],
+        "index_order": [i for _, idx in groups for i in idx],
     }
     if p.lam == 3:
         t = classify3(p)
@@ -91,7 +83,7 @@ def classification_report(p: AlgebraParams, count: int = 30) -> dict:
             "variant": t.variant,
             "indices": {"m": t.m, "n": t.n},
         }
-        rep["oracle_agrees"] = oracle_agrees(p, t, count)
+        rep["oracle_agrees"] = oracle_agrees(p, t)
     else:
         rep["spectrum_type"] = None
     try:
@@ -249,9 +241,7 @@ def _grid_points(spec: str):
 @click.option("--grid", default=None, help="a0min:a0max:step,a1min:a1max:step")
 @click.option("--random", "n_random", type=click.IntRange(min=1), help="number of random points")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--levels", "count", type=click.IntRange(min=1), default=30,
-              show_default=True)
-def sweep(grid, n_random, seed, count):
+def sweep(grid, n_random, seed):
     """Classify many lambda=3 points, JSON-lines output plus a summary line."""
     if (grid is None) == (n_random is None):
         raise InadmissibleParams("give exactly one of --grid / --random")
@@ -267,7 +257,7 @@ def sweep(grid, n_random, seed, count):
             click.echo(json.dumps(p))
             continue
         t = classify3(p)
-        agrees = oracle_agrees(p, t, count)
+        agrees = oracle_agrees(p, t)
         line = {"alpha0": str(p.alphas[0]), "alpha1": str(p.alphas[1]),
                 "label": t.label, "oracle_agrees": agrees}
         histogram[t.label] = histogram.get(t.label, 0) + 1

@@ -2,8 +2,8 @@
 
 Level energies are rational, so degeneracy means rational equality, never an
 epsilon test. For lambda = 3 the full named taxonomy of spectrum types is
-decided by integer/rational window arithmetic on (alpha_0, alpha_1); an
-energy-sorting oracle provides the independent cross-check.
+decided by integer/rational window arithmetic on (alpha_0, alpha_1); the
+exact order key of the lambda ground levels provides the independent cross-check.
 """
 
 from __future__ import annotations
@@ -37,18 +37,10 @@ def _invariant(holds: bool, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Level:
-    index: int
-    energy: Fraction
-    subspace: int
-
-
-@dataclass(frozen=True)
 class DegeneracyPattern:
     """Levels of a spectrum prefix grouped by exact energy, ascending."""
 
     groups: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    prefix: int
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -65,10 +57,6 @@ class PatternDescriptor:
 
     lam: int
     groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def prefix(self) -> int:
-        return sum(len(g) for g in self.groups)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -122,11 +110,11 @@ class SpectrumType:
         return self.label
 
 
-def levels(p: AlgebraParams, count: int) -> list[Level]:
-    """First ``count`` levels in index order; level lambda*k + mu is E(mu) + lambda*k."""
+def levels(p: AlgebraParams, count: int) -> list[Fraction]:
+    """Energies of the first ``count`` levels; level lambda*k + mu is E(mu) + lambda*k."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [Level(index=n, energy=p.energy(n), subspace=n % p.lam) for n in range(count)]
+    return [p.energy(n) for n in range(count)]
 
 
 def degeneracy_pattern(p: AlgebraParams, count: int) -> DegeneracyPattern:
@@ -138,7 +126,7 @@ def degeneracy_pattern(p: AlgebraParams, count: int) -> DegeneracyPattern:
     grouped, and each group's energy is one ``Fraction(key, scale)``.
     """
     lam = p.lam
-    ground = [lv.energy for lv in levels(p, min(count, lam))]
+    ground = levels(p, min(count, lam))
     scale = math.lcm(*(e.denominator for e in ground))
     base = [e.numerator * (scale // e.denominator) for e in ground]
     by_key: dict[int, list[int]] = {}
@@ -146,7 +134,7 @@ def degeneracy_pattern(p: AlgebraParams, count: int) -> DegeneracyPattern:
         mu = n % lam
         by_key.setdefault(base[mu] + (n - mu) * scale, []).append(n)
     groups = tuple((Fraction(key, scale), tuple(by_key[key])) for key in sorted(by_key))
-    return DegeneracyPattern(groups=groups, prefix=count)
+    return DegeneracyPattern(groups=groups)
 
 
 def classify_oracle(p: AlgebraParams, count: int = 30) -> PatternDescriptor:
@@ -271,8 +259,7 @@ def representative_params(t: SpectrumType) -> AlgebraParams:
     return new_params(3, [a0, a1])
 
 
-# Wide-box labels rarely repeat, and an entry grows with the prefix that
-# oracle_agrees asks for: a small cache keeps the hot labels and bounds memory.
+# Wide-box labels rarely repeat: a small cache keeps the hot labels and bounds memory.
 @lru_cache(maxsize=512)
 def expected_prefix(t: SpectrumType, count: int = 30) -> PatternDescriptor:
     """The level-index interleaving that label ``t`` prescribes for its window.
@@ -284,15 +271,34 @@ def expected_prefix(t: SpectrumType, count: int = 30) -> PatternDescriptor:
     return classify_oracle(representative_params(t), count)
 
 
-def oracle_agrees(p: AlgebraParams, t: SpectrumType, count: int = 30) -> bool:
-    """True iff the oracle descriptor of ``p`` is the chain label ``t`` prescribes.
+def order_key(p: AlgebraParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact key of the order and the ties of the whole spectrum of ``p``.
 
-    Compares at least ``3 (m + n) + 6`` levels: neighbouring labels (n +- 1,
-    m +- 1, other variants) can share a shorter prefix, on which the check
-    could not fail.
+    With e_mu = E(mu) for mu < lambda and lo = min e, write e_mu - lo =
+    lambda q_mu + r_mu, q_mu integer and 0 <= r_mu < lambda; rank_mu is the
+    index of r_mu among the distinct r, so ties are kept. Level lambda k + mu
+    sits at lo + lambda (q_mu + k) + r_mu, so any two levels compare and tie
+    as their pairs (q_mu + k, rank_mu): equal keys give equal descriptors at
+    every prefix length. Conversely, comparing each subspace with a lowest
+    one, mu_0, recovers the key: q_mu + 1 levels of mu_0 lie at or below
+    level mu, and the levels at quotient max q order and tie the r_mu.
     """
-    count = max(count, 3 * ((t.m or 0) + t.n) + 6)
-    return expected_prefix(t, count) == classify_oracle(p, count)
+    lam = p.lam
+    ground = [p.energy(mu) for mu in range(lam)]
+    lo = min(ground)
+    q, r = zip(*(divmod(e - lo, lam) for e in ground))
+    rank = {v: i for i, v in enumerate(sorted(set(r)))}
+    return q, tuple(rank[v] for v in r)
+
+
+@lru_cache(maxsize=512)
+def _label_key(t: SpectrumType) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return order_key(representative_params(t))
+
+
+def oracle_agrees(p: AlgebraParams, t: SpectrumType) -> bool:
+    """True iff the whole spectrum of ``p`` is ordered and tied as label ``t`` prescribes."""
+    return _label_key(t) == order_key(p)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def _raise_value_error(*args):
 
 
 @pytest.mark.parametrize("target,fault,exc_type", [
-    ("cext_osc.cli.classify_oracle", _raise_value_error, ValueError),
+    ("cext_osc.cli.degeneracy_pattern", _raise_value_error, ValueError),
     ("cext_osc.spectrum.period3_omegas", lambda p, t: None, AssertionError),
 ])
 def test_internal_fault_is_not_invalid_input(runner, monkeypatch, target, fault,

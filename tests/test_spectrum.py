@@ -30,23 +30,30 @@ from cext_osc.spectrum import (
     DEG_VARIANTS,
     NONDEG_VARIANTS,
     InvariantViolation,
+    _label_key,
     lowest_double_position,
     oracle_agrees,
+    order_key,
     period3_omegas,
     random_admissible_params,
 )
 
 from conftest import CAPTION_CASES, params3, reference_energy
 
-ALL_VARIANT_TYPES = [
-    SpectrumType("I", v, n=n)
-    for v in ("1", "2", "a", "b", "abc") for n in range(1, 11)
-] + [
-    SpectrumType(fam, v, n=n, m=m)
-    for fam in ("II", "III")
-    for v in ("1", "2", "a", "b", "c", "abc")
-    for m in range(1, 11) for n in range(1, 11)
-]
+def variant_types(max_index):
+    """Every label with indices m, n <= ``max_index``."""
+    return [
+        SpectrumType("I", v, n=n)
+        for v in ("1", "2", "a", "b", "abc") for n in range(1, max_index + 1)
+    ] + [
+        SpectrumType(fam, v, n=n, m=m)
+        for fam in ("II", "III")
+        for v in ("1", "2", "a", "b", "c", "abc")
+        for m in range(1, max_index + 1) for n in range(1, max_index + 1)
+    ]
+
+
+ALL_VARIANT_TYPES = variant_types(10)
 
 
 def boundary_line_points(max_index=5):
@@ -108,11 +115,12 @@ def reference_groups(p, count):
 
 
 @st.composite
-def admissible_params(draw, lams=st.integers(min_value=2, max_value=7)):
+def admissible_params(draw, lams=st.integers(min_value=2, max_value=7), max_value=30,
+                      max_denominator=12):
     """Any lambda: beta_mu > -mu for mu >= 1 is Fock-space existence, F(mu) > 0."""
     lam = draw(lams)
     betas = [Fraction(0)] + [
-        draw(st.fractions(min_value=-mu, max_value=30, max_denominator=12)
+        draw(st.fractions(min_value=-mu, max_value=max_value, max_denominator=max_denominator)
              .filter(lambda b, mu=mu: b > -mu))
         for mu in range(1, lam)]
     return new_params(lam, [b1 - b0 for b0, b1 in zip(betas, betas[1:])])
@@ -150,20 +158,17 @@ def neighbours(t):
 
 class TestLevels:
     def test_harmonic(self):
-        lv = levels(new_params(3, [0, 0]), 3)
-        assert [l.energy for l in lv] == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
+        assert levels(new_params(3, [0, 0]), 3) == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 
     def test_deformed_index_order(self):
-        lv = levels(params3(0, 6), 4)
-        assert [l.energy for l in lv] == [
+        assert levels(params3(0, 6), 4) == [
             Fraction(1, 2), Fraction(9, 2), Fraction(11, 2), Fraction(7, 2)]
-        assert [l.subspace for l in lv] == [0, 1, 2, 0]
 
     def test_triple_point_coincidence(self):
         # the triple line makes levels 1 and 2 exactly degenerate
         lv = levels(params3(2, 8), 3)
-        assert lv[0].energy == Fraction(3, 2)
-        assert lv[1].energy == lv[2].energy == Fraction(15, 2)
+        assert lv[0] == Fraction(3, 2)
+        assert lv[1] == lv[2] == Fraction(15, 2)
 
 
 class TestDegeneracyPattern:
@@ -307,20 +312,64 @@ class TestOracleAgrees:
         p = params3(0, 60)
         t = classify3(p)
         assert t == SpectrumType("I", "1", n=11)
-        assert oracle_agrees(p, t, 30)
+        assert oracle_agrees(p, t)
         for near in (SpectrumType("I", "1", n=10), SpectrumType("I", "2", n=10),
                      SpectrumType("I", "a", n=10)):
             assert expected_prefix(near, 30) == classify_oracle(p, 30)
-            assert not oracle_agrees(p, near, 30), near.label
+            assert not oracle_agrees(p, near), near.label
 
     def test_neighbours_distinct(self):
         labels = [t for t in ALL_VARIANT_TYPES if t.n <= 4 and (t.m or 0) <= 4]
         for t in labels:
             p = representative_params(t)
-            # count 1: compare on the label-derived length alone
-            assert oracle_agrees(p, t, 1), t.label
+            assert oracle_agrees(p, t), t.label
             for near in neighbours(t):
-                assert not oracle_agrees(p, near, 1), (t.label, near.label)
+                assert not oracle_agrees(p, near), (t.label, near.label)
+
+    def test_reads_no_prefix(self, monkeypatch):
+        def no_prefix(*args):
+            raise AssertionError("the oracle read a spectrum prefix")
+
+        for name in ("classify_oracle", "degeneracy_pattern", "expected_prefix"):
+            monkeypatch.setattr(f"cext_osc.spectrum.{name}", no_prefix)
+        _label_key.cache_clear()
+        p = params3(0, 60)
+        assert oracle_agrees(p, SpectrumType("I", "1", n=11))
+        assert not oracle_agrees(p, SpectrumType("I", "1", n=10))
+
+
+class TestOrderKey:
+    def test_examples(self):
+        # E = (1/2, 9/2, 11/2): I.1.2, levels 0 < 3 < 1 < 2
+        assert order_key(params3(0, 6)) == ((0, 1, 1), (0, 1, 2))
+        # E = (3/2, 15/2, 15/2): levels 1 and 2 tie, two periods above level 0
+        assert order_key(params3(2, 8)) == ((0, 2, 2), (0, 0, 0))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_iff_long_prefix_descriptors_equal(self, data):
+        # narrow boxes, so that many pairs share a key
+        lam = data.draw(st.integers(min_value=2, max_value=7))
+        points = admissible_params(st.just(lam), max_value=2, max_denominator=4)
+        p, p2 = data.draw(points), data.draw(points)
+        key, key2 = order_key(p), order_key(p2)
+        count = lam * (max(key[0] + key2[0]) + 3)
+        same = classify_oracle(p, count) == classify_oracle(p2, count)
+        assert (key == key2) == same, (p.alphas, p2.alphas, key, key2)
+
+    def test_labels_have_distinct_keys(self):
+        labels = variant_types(12)
+        assert len(labels) == 1788
+        points = [representative_params(t) for t in labels]
+        assert [classify3(p) for p in points] == labels
+        assert len({order_key(p) for p in points}) == len(labels)
+
+    @given(admissible_params())
+    @settings(max_examples=200, deadline=None)
+    def test_periodic_iff_one_period_and_no_ties(self, p):
+        q, rank = order_key(p)
+        periodic = period_or_none(detect_period, p, 30) is not None
+        assert periodic == (set(q) == {0} and len(set(rank)) == p.lam), p.alphas
 
 
 class TestDegeneracyRules:

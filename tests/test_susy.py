@@ -178,6 +178,14 @@ class TestInterlacing:
             p = susy_point(rng, lam=lam)
             assert check_interlacing(build_hierarchy(p, trunc=24), 16)
 
+    def test_swapped_levels_fail(self):
+        # the same values in another order: eigenvalue n is no longer level n
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=30)
+        member = list(h.diagonals[1])
+        member[4], member[5] = member[5], member[4]
+        diagonals = (h.diagonals[0], tuple(member), *h.diagonals[2:])
+        assert not check_interlacing(dataclasses.replace(h, diagonals=diagonals), 20)
+
 
 class TestProjectionShiftIdentity:
     @pytest.mark.parametrize("alphas", [

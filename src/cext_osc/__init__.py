@@ -33,8 +33,9 @@ from .spectrum import (
     susy_window,
 )
 
-# The matrix layers need NumPy, so their names are looked up on first use
-# (PEP 562) and the exact layers import without it.  The lookup is not cached
+# The matrix layers need NumPy (fockrep on import, susy in verify_sqm), so their
+# names are looked up on first use (PEP 562) and the exact layers import without
+# it.  The lookup is not cached
 # here: the module's own binding stays the one source, so rebinding it there
 # is seen through the package too.
 _LAZY = {
@@ -42,6 +43,7 @@ _LAZY = {
         "OperatorSet",
         "RelationReport",
         "build_operators",
+        "log_normalization_constant_gamma",
         "normalization_constant",
         "normalization_constant_gamma",
         "verify_relations",

@@ -29,6 +29,7 @@ from .spectrum import (
     random_admissible_params,
     susy_window,
 )
+from .susy import build_hierarchy, check_interlacing, projection_shift_identity, verify_sqm
 
 SCHEMA_VERSION = 1
 EXIT_INVALID = 2
@@ -185,9 +186,6 @@ def spectrum(alpha0, alpha1, alphas, lam, count):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def susy(alpha0, alpha1, alphas, lam, trunc, tol):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
-    # imported here so that only the commands that build matrices load NumPy
-    from .susy import build_hierarchy, check_interlacing, projection_shift_identity, verify_sqm
-
     p = _collect_params(lam, alpha0, alpha1, alphas)
     hier = build_hierarchy(p, trunc)
     rep = verify_sqm(hier, tol)
@@ -288,9 +286,6 @@ class DiagramSpec:
 def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> DiagramSpec:
     lam = p.lam
     if susy_mode:
-        # imported here so that a diagram of the Fock columns does not load NumPy
-        from .susy import build_hierarchy
-
         hier = build_hierarchy(p, max(3 * count, 2 * lam))
         cols = tuple(
             tuple((n, hier.diagonals[mu][n]) for n in range(count))

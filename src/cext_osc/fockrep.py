@@ -50,7 +50,7 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     lam = p.lam
     if trunc < 2 * lam:
         raise InadmissibleParams(f"truncation {trunc} too small, need >= {2 * lam}")
-    sub = [math.sqrt(float(p.structure_function(n))) for n in range(1, trunc)]
+    sub = [math.sqrt(f) for f in _structure_floats(p, trunc)[1:]]
     a_dag = np.diag(sub, -1).astype(complex)
     a = a_dag.conj().T
     # exp(2 pi i n / lambda) depends on n mod lambda only; reducing first keeps
@@ -58,6 +58,13 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     t = np.exp(2j * np.pi * (np.arange(trunc) % lam) / lam)
     h0 = (np.einsum("ij,ji->i", a, a_dag) + np.einsum("ij,ji->i", a_dag, a)).real / 2
     return OperatorSet(params=p, trunc=trunc, a=a, a_dag=a_dag, t=t, h0=h0)
+
+
+def _structure_floats(p: AlgebraParams, count: int) -> list[float]:
+    """float(F(n)) for n < count as the int quotient (n d + d beta) / d, correctly rounded."""
+    d = math.lcm(*(b.denominator for b in p.betas))
+    nums = [int(b * d) for b in p.betas]
+    return [(n * d + nums[n % p.lam]) / d for n in range(count)]
 
 
 def _projector_sum(values, trunc: int) -> np.ndarray:
@@ -76,17 +83,21 @@ def normalization_constant(p: AlgebraParams, n: int) -> Fraction:
 
 
 def normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
-    """Closed-form normalization constant via gamma functions (lambda = 3 only).
+    """Closed-form normalization constant, the exp of :func:`log_normalization_constant_gamma`.
 
-    Evaluated in floating point with lgamma; agrees with the exact product
-    to ~1e-10 relative for moderate n.
+    Agrees with the exact product to ~1e-10 relative; overflows a float from n = 171 on.
     """
+    return math.exp(log_normalization_constant_gamma(p, n))
+
+
+def log_normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
+    """Log of the normalization constant via gamma functions (lambda = 3 only), finite at any n."""
     if p.lam != 3:
         raise UnsupportedLambda(f"gamma closed form requires lambda=3, got {p.lam}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
-        return 1.0
+        return 0.0
     b1 = float((p.betas[1] + 1) / 3)
     b2 = float((p.betas[2] + 2) / 3)
     k, mu = divmod(n, 3)
@@ -97,7 +108,7 @@ def normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
         log += math.lgamma(k + 1 + b1) + math.lgamma(k + b2)
     else:
         log += math.lgamma(k + 1 + b1) + math.lgamma(k + 1 + b2)
-    return math.exp(log)
+    return log
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,7 @@ def verify_relations(ops: OperatorSet, p: AlgebraParams, tol: float = 1e-12) -> 
     cut = ops.interior
     a, a_dag, t = ops.a, ops.a_dag, ops.t
     level = np.arange(trunc)
-    f = np.array([float(p.structure_function(n)) for n in range(trunc + 1)])
+    f = np.array(_structure_floats(p, trunc + 1))
     projectors = [(level % lam == mu).astype(float) for mu in range(lam)]
     aat, ata = a @ a_dag, a_dag @ a
     res: dict[str, float] = {}

@@ -3,18 +3,16 @@
 Each member Hamiltonian is the structure function evaluated at a shifted
 number operator; the supercharges are block matrices over the shifted
 algebras' ladder operators, and together they satisfy the two-generator
-superalgebra relations member by member.
+superalgebra relations member by member.  Only :func:`verify_sqm` loads NumPy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import AlgebraParams, InadmissibleParams, WindowViolation, new_params
-from .fockrep import OperatorSet, _interior_max, _projector_sum, build_operators
 
 
 def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
@@ -32,21 +30,21 @@ def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
 
 @dataclass(frozen=True)
 class SusyHierarchy:
-    """The lambda+1 member Hamiltonians and lambda supercharge pairs, stored once.
+    """The lambda+1 member Hamiltonians and the lambda shifted algebras, all exact.
 
     ``diagonals[mu][n]`` is the exact eigenvalue F(n + mu) of the mu-th
-    member on level n. The mu-th factorization is the 2 x 2 block system
+    member on level n, and ``shifted[mu]`` is ``cyclic_shift(base, mu)``.
+    The mu-th factorization is the 2 x 2 block system
     H = diag(H_mu, H_{mu+1}) - E_mu, Q = [[0, 0], [a, 0]], Q+ = [[0, a+], [0, 0]]
-    with a, a+ from ``shifted_ops[mu]`` and E_mu = ``ground_energies[mu]``;
-    only these K x K blocks are stored, never a 2K x 2K matrix.  The mu-th
-    shifted algebra is ``shifted_ops[mu].params``.
+    with a, a+ the ladder of ``shifted[mu]`` and E_mu = ``ground_energies[mu]``.
+    No operator is stored; :func:`verify_sqm` builds the K x K blocks it reads.
     """
 
     base: AlgebraParams
     omegas: tuple[Fraction, ...]
     ground_energies: tuple[Fraction, ...]
     diagonals: tuple[tuple[Fraction, ...], ...]
-    shifted_ops: tuple[OperatorSet, ...]
+    shifted: tuple[AlgebraParams, ...]
     trunc: int
 
     @property
@@ -57,10 +55,10 @@ class SusyHierarchy:
 def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     """Assemble the hierarchy for a parameter point inside the SUSY window.
 
-    Member mu is the diagonal F(N + mu); together with the shifted ladder
-    matrices this realizes the factorization chain whose mu-th ground energy
-    is the partial spacing sum. Raises :class:`WindowViolation` outside the
-    window, naming the offending spacing.
+    Member mu is the diagonal F(N + mu), a slice of one pass over n < K + lambda;
+    with the shifted algebras this realizes the factorization chain whose mu-th
+    ground energy is the partial spacing sum. Raises :class:`WindowViolation`
+    outside the window, naming the offending spacing.
     """
     lam = p.lam
     if trunc < 2 * lam:
@@ -69,18 +67,21 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     for mu, w in enumerate(omegas):
         if w <= 0:
             raise WindowViolation(f"omega_{mu} = {w} <= 0")
-    shifted_ops = tuple(build_operators(cyclic_shift(p, mu), trunc) for mu in range(lam))
     ground = [Fraction(0)]
     for w in omegas:
         ground.append(ground[-1] + w)
-    diagonals = tuple(
-        tuple(p.structure_function(n + mu) for n in range(trunc))
-        for mu in range(lam + 1)
-    )
+    f = [p.structure_function(n) for n in range(trunc + lam)]
     return SusyHierarchy(
         base=p, omegas=omegas, ground_energies=tuple(ground),
-        diagonals=diagonals, shifted_ops=shifted_ops, trunc=trunc,
+        diagonals=tuple(tuple(f[mu:mu + trunc]) for mu in range(lam + 1)),
+        shifted=tuple(cyclic_shift(p, mu) for mu in range(lam)), trunc=trunc,
     )
+
+
+def _worst_gap(values, targets, d: int) -> Fraction:
+    """Exact max |values[n] - targets[n] / d|, targets integers; equal entries make no Fraction."""
+    return max((abs(v - Fraction(t, d)) for v, t in zip(values, targets)
+                if v.numerator * d != t * v.denominator), default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,20 @@ def verify_sqm(h: SusyHierarchy, tol: float = 1e-12) -> SqmReport:
 
     Per mu: Q^2 = 0, (Q+)^2 = 0, [H, Q] = 0, [H, Q+] = 0, {Q, Q+} = H.
     Globally: the last member equals the first shifted by the total spacing
-    (exact rational check), shifting by lambda returns the base algebra, and
+    (exact, in integers), shifting by lambda returns the base algebra, and
     the two construction paths for each member agree.
 
-    Everything is evaluated on the K x K blocks of :class:`SusyHierarchy`:
-    with upper = H_mu - E_mu and lower = H_{mu+1} - E_mu as vectors, [H, Q] is
+    The one float realization: it builds the ladder of ``shifted[mu]`` with
+    :func:`~cext_osc.fockrep.build_operators` and works on K x K blocks. With
+    upper = H_mu - E_mu and lower = H_{mu+1} - E_mu as vectors, [H, Q] is
     ``lower[:, None] * a - a * upper`` and {Q, Q+} - H is a+ a - upper and
     a a+ - lower. Q has one nonzero block, below the diagonal, so Q Q and
     Q+ Q+ vanish block by block and their residuals are exactly 0.0.
     """
+    import numpy as np
+
+    from .fockrep import _interior_max, build_operators
+
     lam, trunc = h.lam, h.trunc
     cut = trunc - 1
     members = np.array(h.diagonals, dtype=float)
@@ -128,7 +134,8 @@ def verify_sqm(h: SusyHierarchy, tol: float = 1e-12) -> SqmReport:
     # second construction route: ladder products of the shifted algebras
     agreement = []
     for mu in range(lam):
-        a, a_dag = h.shifted_ops[mu].a, h.shifted_ops[mu].a_dag
+        ops = build_operators(h.shifted[mu], trunc)
+        a, a_dag = ops.a, ops.a_dag
         ground = float(h.ground_energies[mu])
         upper, lower = members[mu] - ground, members[mu + 1] - ground
         ata, aat = a_dag @ a, a @ a_dag
@@ -146,10 +153,11 @@ def verify_sqm(h: SusyHierarchy, tol: float = 1e-12) -> SqmReport:
             agreement.append(_interior_max(ata - np.diag(members[0]), cut))
         agreement.append(_interior_max(
             aat + ground * np.eye(trunc) - np.diag(members[mu + 1]), cut))
-    big_omega = sum(h.omegas, Fraction(0))
-    shift_exact = all(
-        h.diagonals[lam][n] == h.diagonals[0][n] + big_omega for n in range(trunc)
-    )
+    w = sum(h.omegas, Fraction(0))
+    # x - y == w, cross-multiplied over the common denominator of x, y and w
+    shift_exact = all((x.numerator * y.denominator - y.numerator * x.denominator) * w.denominator
+                      == w.numerator * x.denominator * y.denominator
+                      for x, y in zip(h.diagonals[lam], h.diagonals[0]))
     periodic = cyclic_shift(h.base, lam) == h.base
     return SqmReport(
         per_mu=tuple(per_mu),
@@ -164,48 +172,48 @@ def check_interlacing(h: SusyHierarchy, count: int) -> bool:
     """Exact check of the interlaced eigenvalue ladder of all members.
 
     The n-th eigenvalue of member mu must equal k * Omega + E_nu, the partial
-    spacing sum, where n + mu = lambda * k + nu. The window that
-    :func:`build_hierarchy` enforces makes each member increase with n, so no sort is needed.
+    spacing sum, where n + mu = lambda * k + nu; both sides are integers over the
+    ground energies' common denominator. The window that :func:`build_hierarchy`
+    enforces makes each member increase with n, so no sort is needed.
     """
     lam, ground = h.lam, h.ground_energies
     if count > h.trunc - lam:
         raise ValueError(f"count must be <= {h.trunc - lam}")
-    for mu in range(lam + 1):
-        for n in range(count):
-            k, nu = divmod(n + mu, lam)
-            if h.diagonals[mu][n] != k * ground[lam] + ground[nu]:
-                return False
-    return True
+    d = math.lcm(*(g.denominator for g in ground))
+    e = [int(g * d) for g in ground]
+    targets = [m // lam * e[lam] + e[m % lam] for m in range(count + lam)]
+    return not any(_worst_gap(h.diagonals[mu], targets[mu:mu + count], d)
+                   for mu in range(lam + 1))
+
+
+def _h0_gap(member, q: AlgebraParams, offsets, cut: int) -> Fraction:
+    """Exact max over n < cut of |member[n] - H0(n) - offsets[n % lambda]|, H0 that of q."""
+    d = 2 * math.lcm(*(x.denominator for x in (*q.betas, *offsets)))
+    betas, extra = [int(b * d) for b in q.betas], [int(x * d) for x in offsets]
+    f = [n * d + betas[n % q.lam] for n in range(cut + 1)]  # d F(n), even
+    return _worst_gap(member, [(f[n] + f[n + 1]) // 2 + extra[n % q.lam] for n in range(cut)], d)
 
 
 def projection_shift_identity(h: SusyHierarchy, tol: float = 1e-12) -> bool:
     """Verify each member against its shifted algebra's bosonic Hamiltonian.
 
-    Member mu must equal H0 of the mu-th shifted algebra minus half the
+    Member mu must equal H0 of ``shifted[mu]`` minus half the
     spacing-weighted projector sum plus the ground energy; for lambda = 3
     the explicit rewrites in terms of the base bosonic Hamiltonian are
-    checked as well.  Every operator here is diagonal, so the check compares
-    length-K vectors.
+    checked as well.  Each side is diagonal, with H0 = (F(n) + F(n + 1)) / 2,
+    and compared in integers on levels n < K - 1; a worst residual >= ``tol`` fails.
     """
-    lam, trunc = h.lam, h.trunc
-    cut = trunc - 1
-    members = np.array(h.diagonals, dtype=float)
-    for mu in range(lam):
-        ops = h.shifted_ops[mu]
-        combo = _projector_sum([float(1 + a) for a in ops.params.alphas], trunc)
-        rhs = ops.h0 - combo / 2 + float(h.ground_energies[mu])
-        if _interior_max(rhs - members[mu], cut) >= tol:
-            return False
+    lam, cut, ground = h.lam, h.trunc - 1, h.ground_energies
+    worst = max(_h0_gap(h.diagonals[mu], q, [ground[mu] - (1 + a) / 2 for a in q.alphas], cut)
+                for mu, q in enumerate(h.shifted))
     if lam == 3:
         a = h.base.alphas
-        h0_base = h.shifted_ops[0].h0
         combos = [
-            [-float(1 + a[nu]) / 2 for nu in range(3)],
-            [float(1 + a[nu]) / 2 for nu in range(3)],
-            [float(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)],
+            [-(1 + a[nu]) / 2 for nu in range(3)],
+            [(1 + a[nu]) / 2 for nu in range(3)],
+            [(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)],
         ]
-        for mu in range(3):
-            rhs = h0_base + _projector_sum(combos[mu], trunc)
-            if _interior_max(rhs - members[mu], cut) >= tol:
-                return False
-    return True
+        worst = max(worst, *(
+            _h0_gap(h.diagonals[mu], h.shifted[0], combos[mu], cut) for mu in range(3)))
+    # the rule "fail when worst >= tol" as written: a NaN tol fails nothing
+    return not worst >= tol

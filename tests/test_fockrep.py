@@ -9,18 +9,28 @@ from cext_osc import (
     AlgebraParams,
     build_hierarchy,
     build_operators,
+    cyclic_shift,
+    log_normalization_constant_gamma,
     new_params,
     normalization_constant,
     normalization_constant_gamma,
     projection_shift_identity,
     verify_relations,
 )
+from cext_osc import fockrep
 from cext_osc.spectrum import random_admissible_params
 
 from conftest import params3, random_susy_params
 
 
 class TestBuildOperators:
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_structure_floats_are_the_rounded_rationals(self, rng, lam):
+        for _ in range(20):
+            p = random_admissible_params(rng, lam=lam, max_numer=40)
+            floats = fockrep._structure_floats(p, 300)
+            assert floats == [float(p.structure_function(n)) for n in range(300)]
+
     def test_undeformed_subdiagonal(self):
         ops = build_operators(new_params(3, [0, 0]), 6)
         sub = np.diag(ops.a_dag, -1).real
@@ -204,13 +214,13 @@ class TestVerifyRelations:
 
     @pytest.mark.parametrize("lam", [2, 3, 5])
     def test_shifted_h0_fails_projection_shift_identity(self, rng, lam):
+        # H0 of shifted[1] is computed from that algebra, so the wrong algebra
+        # (the unshifted base) stands for a wrong shifted H0
         h = build_hierarchy(random_susy_params(rng, lam=lam), trunc=20)
         assert projection_shift_identity(h)
-        ops = h.shifted_ops[1]
-        h0 = ops.h0.copy()
-        h0[4] += 1e-3
-        shifted_ops = (h.shifted_ops[0], dataclasses.replace(ops, h0=h0), *h.shifted_ops[2:])
-        assert not projection_shift_identity(dataclasses.replace(h, shifted_ops=shifted_ops))
+        assert h.shifted[1] == cyclic_shift(h.base, 1) != h.base
+        shifted = (h.shifted[0], h.base, *h.shifted[2:])
+        assert not projection_shift_identity(dataclasses.replace(h, shifted=shifted))
 
     def test_report_shape(self):
         p = params3(0, 6)
@@ -237,3 +247,27 @@ class TestNormalization:
                 exact = float(normalization_constant(p, n))
                 closed = normalization_constant_gamma(p, n)
                 assert math.isclose(exact, closed, rel_tol=1e-10), (p.alphas, n)
+
+    def test_gamma_form_is_the_exp_of_its_log(self, rng):
+        for _ in range(10):
+            p = random_admissible_params(rng, max_numer=15)
+            for n in (0, 1, 2, 5, 30, 100):
+                log = log_normalization_constant_gamma(p, n)
+                assert normalization_constant_gamma(p, n) == math.exp(log)
+
+    def test_log_gamma_form_is_finite_where_the_value_overflows(self):
+        p = params3(0, Fraction(1, 2))
+        for n in (171, 500, 2000):
+            with pytest.raises(OverflowError):
+                normalization_constant_gamma(p, n)
+        exact = normalization_constant(p, 2000)
+        # math.log takes big integers exactly, with no float conversion of the product
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert math.isclose(log_normalization_constant_gamma(p, 2000), log_exact,
+                            rel_tol=1e-12)
+
+    def test_log_gamma_form_rejects_what_the_value_rejects(self):
+        with pytest.raises(ValueError):
+            log_normalization_constant_gamma(params3(0, 6), -1)
+        with pytest.raises(ValueError):
+            log_normalization_constant_gamma(new_params(2, [Fraction(1, 2)]), 3)

@@ -35,11 +35,12 @@ EXACT_COMMANDS = [
     ["sweep", "--random", "20", "--seed", "0"],
     ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii"],
     ["diagram", "--alpha0", "2", "--alpha1", "8"],
+    ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii", "--susy"],
     ["--help"],
 ]
+# verify_sqm's float realization is the only user of NumPy
 MATRIX_COMMANDS = [
     ["susy", "--alpha0", "0", "--alpha1", "1/2"],
-    ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii", "--susy"],
 ]
 
 
@@ -78,6 +79,22 @@ def test_importing_the_cli_does_not_load_numpy():
     proc = python("-c", "import sys, cext_osc.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_exact_susy_checks_run_without_numpy():
+    code = """
+import sys
+sys.modules["numpy"] = None
+from fractions import Fraction
+import cext_osc.susy as susy
+from cext_osc import new_params
+h = susy.build_hierarchy(new_params(3, [0, Fraction(1, 2)]), 60)
+print(susy.check_interlacing(h, 57), susy.projection_shift_identity(h),
+      "cext_osc.fockrep" in sys.modules)
+"""
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True False\n"
 
 
 @pytest.mark.parametrize("args", EXACT_COMMANDS, ids=" ".join)

@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cext_osc import (
     WindowViolation,
     build_hierarchy,
+    build_operators,
     check_interlacing,
     cyclic_shift,
     new_params,
     projection_shift_identity,
     verify_sqm,
 )
+from cext_osc import fockrep
 from conftest import params3, random_susy_params
 
 TOL = 1e-12
@@ -51,6 +54,16 @@ class TestBuildHierarchy:
         with pytest.raises(WindowViolation):
             build_hierarchy(params3(0, 6))
 
+    def test_stores_exact_data_only(self, rng):
+        p = susy_point(rng, lam=4)
+        h = build_hierarchy(p, trunc=20)
+        assert [f.name for f in dataclasses.fields(h)] == [
+            "base", "omegas", "ground_energies", "diagonals", "shifted", "trunc"]
+        assert h.shifted == tuple(cyclic_shift(p, mu) for mu in range(4))
+        assert all(len(d) == 20 for d in h.diagonals)
+        assert h.diagonals == tuple(
+            tuple(p.structure_function(n + mu) for n in range(20)) for mu in range(5))
+
     def test_last_equals_first_plus_period(self, rng):
         for _ in range(5):
             p = susy_point(rng)
@@ -75,13 +88,14 @@ def dense_reference(h):
         return float(np.max(np.abs(m[np.ix_(keep, keep)])))
 
     dense = [np.diag([float(v) for v in d]).astype(complex) for d in h.diagonals]
+    ops = [build_operators(q, k) for q in h.shifted]
     per_mu = []
     for mu in range(h.lam):
         big_h = np.zeros((2 * k, 2 * k), dtype=complex)
         big_h[:k, :k] = dense[mu] - float(h.ground_energies[mu]) * np.eye(k)
         big_h[k:, k:] = dense[mu + 1] - float(h.ground_energies[mu]) * np.eye(k)
         q = np.zeros_like(big_h)
-        q[k:, :k] = h.shifted_ops[mu].a
+        q[k:, :k] = ops[mu].a
         q_dag = q.conj().T
         per_mu.append({
             "supercharge_nilpotent": masked_max(q @ q),
@@ -91,11 +105,10 @@ def dense_reference(h):
             "anticommutator_closes": masked_max(q @ q_dag + q_dag @ q - big_h),
         })
     cut = k - 1
-    first = h.shifted_ops[0]
+    first = ops[0]
     agreement = [float(np.max(np.abs((first.a_dag @ first.a - dense[0])[:cut, :cut])))]
     for mu in range(1, h.lam + 1):
-        ops = h.shifted_ops[mu - 1]
-        alt = ops.a @ ops.a_dag + float(h.ground_energies[mu - 1]) * np.eye(k)
+        alt = ops[mu - 1].a @ ops[mu - 1].a_dag + float(h.ground_energies[mu - 1]) * np.eye(k)
         agreement.append(float(np.max(np.abs((alt - dense[mu])[:cut, :cut]))))
     return per_mu, agreement
 
@@ -144,13 +157,30 @@ class TestVerifySqm:
         assert not projection_shift_identity(bad, tol=TOL)
 
     @pytest.mark.parametrize("lam", [2, 3, 5])
-    def test_corrupted_ladder_fails(self, rng, lam):
+    def test_corrupted_ladder_fails(self, rng, lam, monkeypatch):
+        # verify_sqm builds the ladders it reads, so the corruption goes in there
         h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
-        ops = h.shifted_ops[1]
-        scaled = dataclasses.replace(ops, a=ops.a * 1.001, a_dag=ops.a_dag * 1.001)
-        shifted_ops = (h.shifted_ops[0], scaled, *h.shifted_ops[2:])
-        bad = dataclasses.replace(h, shifted_ops=shifted_ops)
-        assert not verify_sqm(bad).all_pass
+        assert verify_sqm(h).all_pass
+        build = fockrep.build_operators
+
+        def one_entry_scaled(p, trunc):
+            ops = build(p, trunc)
+            a_dag = ops.a_dag.copy()
+            a_dag[5, 4] *= 1.001
+            return dataclasses.replace(ops, a=a_dag.conj().T, a_dag=a_dag)
+
+        monkeypatch.setattr(fockrep, "build_operators", one_entry_scaled)
+        assert not verify_sqm(h).all_pass
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_broken_hierarchy_shift_fails(self, rng, lam):
+        # the last level lies outside the float checks' window: only the exact shift sees it
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
+        assert verify_sqm(h).hierarchy_shift_exact
+        last = list(h.diagonals[lam])
+        last[-1] += Fraction(1, 1000)
+        rep = verify_sqm(dataclasses.replace(h, diagonals=(*h.diagonals[:lam], tuple(last))))
+        assert not rep.hierarchy_shift_exact and not rep.all_pass
 
     @pytest.mark.parametrize("lam", [2, 3, 4, 5])
     def test_random_points_all_lambdas(self, rng, lam):
@@ -202,3 +232,123 @@ class TestProjectionShiftIdentity:
         for _ in range(10):
             h = build_hierarchy(susy_point(rng), trunc=25)
             assert projection_shift_identity(h, tol=TOL)
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_shifted_diagonal_entry_fails(self, rng, lam):
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
+        member = list(h.diagonals[lam - 1])
+        member[4] += Fraction(1, 1000)
+        diagonals = (*h.diagonals[:lam - 1], tuple(member), h.diagonals[lam])
+        assert not projection_shift_identity(dataclasses.replace(h, diagonals=diagonals))
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_wrong_ground_energy_fails(self, rng, lam):
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
+        ground = list(h.ground_energies)
+        ground[lam - 1] -= Fraction(1, 1000)
+        bad = dataclasses.replace(h, ground_energies=tuple(ground))
+        assert not projection_shift_identity(bad)
+        assert not check_interlacing(bad, 20 - lam)
+        assert not verify_sqm(bad).all_pass
+
+    def test_wrong_shifted_algebra_fails(self):
+        h = build_hierarchy(new_params(4, [Fraction(1, 2), 0, Fraction(-1, 3)]), trunc=20)
+        for mu in range(1, 4):
+            shifted = list(h.shifted)
+            shifted[mu] = cyclic_shift(h.base, mu + 1)
+            bad = dataclasses.replace(h, shifted=tuple(shifted))
+            assert not projection_shift_identity(bad), mu
+
+    def test_tol_is_a_strict_bound(self):
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
+        assert projection_shift_identity(h, tol=1e-300)
+        assert not projection_shift_identity(h, tol=0)
+        member = list(h.diagonals[1])
+        member[3] += Fraction(1, 8)
+        bad = dataclasses.replace(h, diagonals=(h.diagonals[0], tuple(member), *h.diagonals[2:]))
+        assert projection_shift_identity(bad, tol=0.126)
+        assert not projection_shift_identity(bad, tol=0.125)
+
+
+def reference_interlacing(h, count):
+    """check_interlacing as Fraction arithmetic, one level at a time."""
+    lam, ground = h.lam, h.ground_energies
+    return all(
+        h.diagonals[mu][n] == (n + mu) // lam * ground[lam] + ground[(n + mu) % lam]
+        for mu in range(lam + 1) for n in range(count))
+
+
+def reference_projection(h, tol=TOL):
+    """projection_shift_identity in floats, with H0 read off the ladder products."""
+    lam, k = h.lam, h.trunc
+    members = np.array(h.diagonals, dtype=float)
+    level = np.arange(k) % lam
+    h0 = [build_operators(q, k).h0 for q in h.shifted]
+
+    def holds(rhs, mu):
+        return np.max(np.abs(rhs - members[mu])[:k - 1]) < tol
+
+    ok = all(
+        holds(h0[mu] - np.array([float(1 + a) for a in q.alphas])[level] / 2
+              + float(h.ground_energies[mu]), mu)
+        for mu, q in enumerate(h.shifted))
+    if lam == 3:
+        a = [float(x) for x in h.base.alphas]
+        combos = [
+            [-(1 + a[nu]) / 2 for nu in range(3)],
+            [(1 + a[nu]) / 2 for nu in range(3)],
+            [(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)],
+        ]
+        ok = ok and all(holds(h0[0] + np.array(combos[mu])[level], mu) for mu in range(3))
+    return ok
+
+
+@st.composite
+def corrupted_hierarchies(draw):
+    """A hierarchy at lambda = 2..7, clean or with one exact datum moved by >= 1/1000."""
+    lam = draw(st.integers(2, 7))
+    raw = draw(st.lists(st.fractions(Fraction(1, 8), 24, max_denominator=8),
+                        min_size=lam, max_size=lam))
+    omegas = [lam * r / sum(raw) for r in raw]
+    p = new_params(lam, [w - 1 for w in omegas[:-1]])
+    trunc = draw(st.integers(2 * lam, 30))
+    h = build_hierarchy(p, trunc)
+    delta = draw(st.fractions(Fraction(1, 1000), 2, max_denominator=1000)) * draw(
+        st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["clean", "diagonal", "ground", "shifted"]))
+    if kind == "diagonal":
+        mu, n = draw(st.integers(0, lam)), draw(st.integers(0, trunc - 1))
+        member = list(h.diagonals[mu])
+        member[n] += delta
+        h = dataclasses.replace(
+            h, diagonals=(*h.diagonals[:mu], tuple(member), *h.diagonals[mu + 1:]))
+    elif kind == "ground":
+        mu = draw(st.integers(0, lam))
+        ground = list(h.ground_energies)
+        ground[mu] += delta
+        h = dataclasses.replace(h, ground_energies=tuple(ground))
+    elif kind == "shifted":
+        mu, wrong = draw(st.integers(0, lam - 1)), draw(st.integers(0, lam - 1))
+        shifted = list(h.shifted)
+        shifted[mu] = cyclic_shift(p, wrong)
+        h = dataclasses.replace(h, shifted=tuple(shifted))
+    return h
+
+
+class TestExactChecksMatchReferences:
+    @given(corrupted_hierarchies())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_checks_agree_with_fraction_and_float(self, h):
+        count = h.trunc - h.lam
+        assert check_interlacing(h, count) == reference_interlacing(h, count)
+        assert projection_shift_identity(h) == reference_projection(h)
+
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_references_pass_clean_and_fail_corrupted(self, rng, lam):
+        # the property above is not vacuous: each reference flips on a corruption
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=24)
+        assert reference_interlacing(h, 24 - lam) and reference_projection(h)
+        ground = list(h.ground_energies)
+        ground[1] += Fraction(1, 100)
+        bad = dataclasses.replace(h, ground_energies=tuple(ground))
+        assert not reference_interlacing(bad, 24 - lam) and not reference_projection(bad)

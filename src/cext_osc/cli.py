@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .algebra import (
@@ -41,6 +43,14 @@ _PRINTS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
 def _collect_params(lam, alpha0, alpha1, alphas):
+    # "given" is what the command line set; the defaults of --alpha0/--alpha1 are not
+    ctx = click.get_current_context()
+    given = [f"--{name}" for name in ("alpha0", "alpha1")
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if alphas and given:
+        raise InadmissibleParams(f"give the point by --alpha or by {given[0]}, not both")
+    if lam == 2 and "--alpha1" in given:
+        raise InadmissibleParams("lambda=2 takes --alpha0 only, not --alpha1")
     if alphas:
         head = [parse_rational(a) for a in alphas]
         if len(head) != lam - 1:
@@ -56,6 +66,14 @@ def _collect_params(lam, alpha0, alpha1, alphas):
             f"lambda={lam} needs {lam - 1} parameters; use repeated --alpha"
         )
     return new_params(lam, head)
+
+
+def _float(x: Fraction) -> float:
+    """``float(x)``; an exact value beyond the float range is an input error, not a fault."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InadmissibleParams("an energy of this point is beyond the float range") from None
 
 
 def _base_report(p: AlgebraParams) -> dict:
@@ -98,6 +116,13 @@ def classification_report(p: AlgebraParams, count: int = 30) -> dict:
         rep["period"] = None
     rep["susy_window"] = susy_window(p)
     return rep
+
+
+def _tolerance(ctx, param, value):
+    # written so that NaN fails too: every comparison with it is false
+    if not 0 <= value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
 
 
 def param_options(fn):
@@ -173,17 +198,19 @@ def classify(alpha0, alpha1, alphas, lam, count, fmt):
 def spectrum(alpha0, alpha1, alphas, lam, count):
     """Print the level table: index, subspace, exact and float energy."""
     p = _collect_params(lam, alpha0, alpha1, alphas)
-    click.echo(f"{'n':>4} {'sub':>4} {'energy':>12} {'float':>14}")
+    # the whole table is built before any of it is printed, so an error prints none of it
+    lines = [f"{'n':>4} {'sub':>4} {'energy':>12} {'float':>14}"]
     for n in range(count):
         e = p.energy(n)
-        click.echo(f"{n:>4} {n % p.lam:>4} {str(e):>12} {float(e):>14.6f}")
+        lines.append(f"{n:>4} {n % p.lam:>4} {str(e):>12} {_float(e):>14.6f}")
+    click.echo("\n".join(lines))
 
 
 @main.command()
 @param_options
 @click.option("--truncation", "trunc", type=int, default=60,
               envvar="CEXT_OSC_DEFAULT_TRUNCATION", help="matrix truncation K")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
+@click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
 def susy(alpha0, alpha1, alphas, lam, trunc, tol):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
     p = _collect_params(lam, alpha0, alpha1, alphas)
@@ -300,25 +327,22 @@ def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> 
         names = tuple(f"F{mu}" for mu in range(lam))
     lo = min(e for col in cols for _, e in col)
     hi = max(e for col in cols for _, e in col)
-    ticks = []
-    v = lo
-    while v <= hi:
-        ticks.append(v)
-        v += lam
+    # a tick every lambda, thinned so that a wide spread draws at most 2 * count + 1
+    stride = lam * max(1, math.ceil((hi - lo) / (2 * lam * count)))
+    ticks = tuple(lo + k * stride for k in range((hi - lo) // stride + 1))
     if susy_mode:
         title = "supersymmetric hierarchy"
     elif lam == 3:
         title = classify3(p).label
     else:
         title = ""
-    return DiagramSpec(columns=cols, column_names=names, ticks=tuple(ticks),
-                       title=title)
+    return DiagramSpec(columns=cols, column_names=names, ticks=ticks, title=title)
 
 
 def render_svg(spec: DiagramSpec) -> str:
     lo = min(e for col in spec.columns for _, e in col)
     hi = max(e for col in spec.columns for _, e in col)
-    span = float(hi - lo) or 1.0
+    span = _float(hi - lo) or 1.0
     width_col, bar, margin, height = 80, 50, 70, 480
     top, bottom = 30, height - 40
 
@@ -390,12 +414,13 @@ def diagram(alpha0, alpha1, alphas, lam, count, out, ascii_mode, susy_mode):
     if ascii_mode:
         click.echo(render_ascii(spec))
         return
+    svg = render_svg(spec)
     if out is None:
-        click.echo(render_svg(spec))
+        click.echo(svg)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(spec))
+            fh.write(svg)
     except OSError as exc:
         raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
     click.echo(f"wrote {out}")

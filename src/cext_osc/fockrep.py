@@ -16,13 +16,9 @@ class OperatorSet:
     """The generators at truncation K, each stored as what it is.
 
     ``a`` and ``a_dag`` are dense K x K complex matrices with one band each;
-    ``t`` (the phases of T) and ``h0`` are the length-K diagonals of the
-    diagonal generators.  N and the projectors P_mu are not stored: they are
-    fixed by K and lambda (``n`` and ``n % lambda == mu``).
-
-    ``interior`` is the largest row/column index (exclusive bound K-1) up to
-    which single-ladder product identities are free of truncation artifacts;
-    the last row/column of products like a a+ is polluted by the cutoff.
+    ``t`` holds the phases of the diagonal generator T.  N and the projectors
+    P_mu are not stored: they are fixed by K and lambda (``n`` and
+    ``n % lambda == mu``).
     """
 
     params: AlgebraParams
@@ -30,11 +26,6 @@ class OperatorSet:
     a: np.ndarray
     a_dag: np.ndarray
     t: np.ndarray
-    h0: np.ndarray
-
-    @property
-    def interior(self) -> int:
-        return self.trunc - 1
 
 
 def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
@@ -42,10 +33,8 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
 
     a+ has subdiagonal sqrt(F(n+1)), real because an admissible point has
     F(lambda k + mu) = lambda k + F(mu) > 0 above the vacuum; a is its
-    conjugate transpose; T is the
-    diagonal cyclic-group generator exp(2 pi i n / lambda); H0 is the diagonal
-    of (a a+ + a+ a)/2, taken from the ladder entries rather than from the
-    closed-form energies so spectrum checks stay independent.
+    conjugate transpose; T is the diagonal cyclic-group generator
+    exp(2 pi i n / lambda).
     """
     lam = p.lam
     if trunc < 2 * lam:
@@ -56,8 +45,7 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     # exp(2 pi i n / lambda) depends on n mod lambda only; reducing first keeps
     # the argument small, so the phase carries no round-off that grows with n
     t = np.exp(2j * np.pi * (np.arange(trunc) % lam) / lam)
-    h0 = (np.einsum("ij,ji->i", a, a_dag) + np.einsum("ij,ji->i", a_dag, a)).real / 2
-    return OperatorSet(params=p, trunc=trunc, a=a, a_dag=a_dag, t=t, h0=h0)
+    return OperatorSet(params=p, trunc=trunc, a=a, a_dag=a_dag, t=t)
 
 
 def _structure_floats(p: AlgebraParams, count: int) -> list[float]:
@@ -138,20 +126,22 @@ def _interior_max(m: np.ndarray, cut: int) -> float:
 
 
 def verify_relations(ops: OperatorSet, p: AlgebraParams, tol: float = 1e-12) -> RelationReport:
-    """Check every defining relation of the algebra on the truncated operators.
+    """Check the defining relations of the algebra on the truncated operators.
 
-    Residuals are maxima of |lhs - rhs| restricted to the interior window;
-    failures are reported, never raised.  A diagonal generator multiplies
-    elementwise: D X is ``d[:, None] * X``, X D is ``X * d``.  N and the P_mu
-    are built here from ``n`` and ``n % lambda``, so ``projector_algebra`` and
-    ``projector_resolution`` hold by construction and read exactly 0.
+    Residuals are maxima of |lhs - rhs| over the interior window n < K - 1,
+    where the last row and column of a product such as a a+ are polluted by
+    the cutoff; failures are reported, never raised.  A diagonal generator
+    multiplies elementwise: D X is ``d[:, None] * X``, X D is ``X * d``.
+
+    The projector relations P_mu P_nu = delta_{mu nu} P_mu and sum P_mu = 1
+    are not checked: P_mu is the indicator of n mod lambda = mu, so they
+    hold by construction and read no stored state.
     """
     lam, trunc = p.lam, ops.trunc
-    cut = ops.interior
+    cut = trunc - 1
     a, a_dag, t = ops.a, ops.a_dag, ops.t
     level = np.arange(trunc)
     f = np.array(_structure_floats(p, trunc + 1))
-    projectors = [(level % lam == mu).astype(float) for mu in range(lam)]
     aat, ata = a @ a_dag, a_dag @ a
     res: dict[str, float] = {}
     res["number_ladder"] = _interior_max(level[:, None] * a_dag - a_dag * level - a_dag, cut)
@@ -162,11 +152,5 @@ def verify_relations(ops: OperatorSet, p: AlgebraParams, tol: float = 1e-12) -> 
     res["cyclic_order"] = _interior_max(t**lam - 1, cut)
     res["lowering_product"] = _interior_max(ata - np.diag(f[:-1]), cut)
     res["raising_product"] = _interior_max(aat - np.diag(f[1:]), cut)
-    res["projector_algebra"] = max(
-        _interior_max(
-            projectors[mu] * projectors[nu] - (projectors[mu] if mu == nu else 0), cut)
-        for mu in range(lam) for nu in range(lam)
-    )
-    res["projector_resolution"] = _interior_max(sum(projectors) - 1, cut)
     res["cyclic_unitary"] = _interior_max(t * t.conj() - 1, cut)
     return RelationReport(residuals=res, tol=tol)

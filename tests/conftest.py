@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cext_osc import new_params
@@ -41,6 +42,11 @@ def reference_energy(p, n):
     mu = n % p.lam
     upper = p.betas[mu + 1] if mu + 1 < p.lam else 0
     return n + Fraction(1, 2) + (p.betas[mu] + upper) / 2
+
+
+def ladder_h0(ops):
+    """The diagonal of H0 = (a a+ + a+ a)/2, read off the ladder products of ``ops``."""
+    return np.diag(ops.a @ ops.a_dag + ops.a_dag @ ops.a).real / 2
 
 
 @pytest.fixture

@@ -15,12 +15,14 @@ from cext_osc import (
     classify_oracle,
     expected_prefix,
     new_params,
+    oracle_agrees,
+    verify_sqm,
+)
+from cext_osc.fockrep import (
+    build_operators,
     normalization_constant,
     normalization_constant_gamma,
-    oracle_agrees,
-    build_operators,
     verify_relations,
-    verify_sqm,
 )
 from cext_osc.spectrum import (
     lowest_double_position,

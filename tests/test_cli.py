@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, SCHEMA_VERSION, main
+from cext_osc import new_params
+from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, SCHEMA_VERSION, diagram_spec, main
 
 
 @pytest.fixture
@@ -32,6 +33,14 @@ def run(runner, *args, env=None):
     (["classify", "--format", "xml"], None),
     (["diagram", "--out", "no-such-dir/levels.svg"], None),
     (["diagram", "--out", "."], None),
+    (["susy", "--alpha0", "0", "--alpha1", "1/2", "--tol", "nan"], None),
+    (["susy", "--alpha0", "0", "--alpha1", "1/2", "--tol", "inf"], None),
+    (["susy", "--alpha0", "0", "--alpha1", "1/2", "--tol", "-inf"], None),
+    (["susy", "--alpha0", "0", "--alpha1", "1/2", "--tol", "-1"], None),
+    (["classify", "--alpha", "1", "--alpha", "1", "--alpha0", "5"], None),
+    (["classify", "--lambda", "2", "--alpha0", "1/2", "--alpha1", "5"], None),
+    (["spectrum", "--alpha0", "0", "--alpha1", "1e400"], None),
+    (["diagram", "--alpha0", "0", "--alpha1", "1e400"], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
     # click's usage errors and the library's input errors end the same way
@@ -234,6 +243,18 @@ class TestDiagram:
         assert res.exit_code == 0
         header = res.output.splitlines()[0]
         assert header.split() == ["H(0)", "H(1)", "H(2)", "H(3)"]
+
+    def test_wide_spread_thins_the_ticks(self):
+        # a tick every 3 would be about 10**6 / 3 of them
+        spec = diagram_spec(new_params(3, [0, 10**6]), 18)
+        assert len(spec.ticks) <= 2 * 18 + 1
+        stride = spec.ticks[1] - spec.ticks[0]
+        assert stride > 3 and stride % 3 == 0
+        assert all(b - a == stride for a, b in zip(spec.ticks, spec.ticks[1:]))
+        # every level lies within one stride of the axis
+        energies = [e for col in spec.columns for _, e in col]
+        assert spec.ticks[0] == min(energies)
+        assert max(energies) - spec.ticks[-1] < stride
 
     def test_susy_mode_outside_window_exits_2(self, runner):
         res = run(runner, "diagram", "--alpha0", "0", "--alpha1", "6",

@@ -8,19 +8,21 @@ import pytest
 from cext_osc import (
     AlgebraParams,
     build_hierarchy,
-    build_operators,
     cyclic_shift,
-    log_normalization_constant_gamma,
     new_params,
-    normalization_constant,
-    normalization_constant_gamma,
     projection_shift_identity,
-    verify_relations,
 )
 from cext_osc import fockrep
+from cext_osc.fockrep import (
+    build_operators,
+    log_normalization_constant_gamma,
+    normalization_constant,
+    normalization_constant_gamma,
+    verify_relations,
+)
 from cext_osc.spectrum import random_admissible_params
 
-from conftest import params3, random_susy_params
+from conftest import ladder_h0, params3, random_susy_params
 
 
 class TestBuildOperators:
@@ -49,7 +51,7 @@ class TestBuildOperators:
     def test_h0_interior_diag_exact_and_boundary_polluted(self):
         p = new_params(3, [0, 0])
         ops = build_operators(p, 6)
-        diag = ops.h0
+        diag = ladder_h0(ops)
         for n in range(5):
             assert diag[n] == pytest.approx(float(p.energy(n)), abs=1e-12)
         # last entry misses the a a+ contribution above the cutoff
@@ -60,7 +62,7 @@ class TestBuildOperators:
         for _ in range(10):
             p = random_admissible_params(rng)
             ops = build_operators(p, 40)
-            diag = ops.h0
+            diag = ladder_h0(ops)
             for n in range(39):
                 assert abs(diag[n] - float(p.energy(n))) < 1e-12
 
@@ -80,19 +82,20 @@ class TestBuildOperators:
     def test_stores_ladder_and_diagonals_only(self):
         ops = build_operators(params3(0, 6), 9)
         names = [f.name for f in dataclasses.fields(ops)]
-        assert names == ["params", "trunc", "a", "a_dag", "t", "h0"]
-        assert ops.t.shape == ops.h0.shape == (9,)
+        assert names == ["params", "trunc", "a", "a_dag", "t"]
+        assert ops.t.shape == (9,)
 
     def test_h0_is_the_diagonal_of_the_ladder_products(self, rng):
+        # (a a+ + a+ a)/2 has no entry off its diagonal
         for lam in (2, 3, 5):
             p = random_admissible_params(rng, lam=lam, max_numer=8)
             ops = build_operators(p, 20)
             dense = (ops.a @ ops.a_dag + ops.a_dag @ ops.a) / 2
-            np.testing.assert_array_equal(dense, np.diag(ops.h0))
+            np.testing.assert_array_equal(dense, np.diag(ladder_h0(ops)))
 
 
 def dense_relations(ops, p):
-    """The nine residuals from dense K x K matrices, as the relations are written.
+    """The seven residuals from dense K x K matrices, as the relations are written.
 
     N, T and every P_mu are expanded into diagonal matrices and multiplied
     with matrix products, independently of the elementwise route of
@@ -119,10 +122,6 @@ def dense_relations(ops, p):
         "cyclic_order": interior(np.linalg.matrix_power(t, lam) - eye),
         "lowering_product": interior(a_dag @ a - f_diag),
         "raising_product": interior(a @ a_dag - f_shift),
-        "projector_algebra": max(
-            interior(projectors[mu] @ projectors[nu] - (projectors[mu] if mu == nu else 0))
-            for mu in range(lam) for nu in range(lam)),
-        "projector_resolution": interior(sum(projectors) - eye),
         "cyclic_unitary": interior(t @ t.conj().T - eye),
     }
 
@@ -162,11 +161,11 @@ class TestVerifyRelations:
         rep = verify_relations(build_operators(p, trunc), p, tol=1e-12)
         assert rep.all_pass, rep.failures
 
-    def test_random_points_all_nine_relations(self, rng):
+    def test_random_points_all_seven_relations(self, rng):
         for _ in range(20):
             p = random_admissible_params(rng)
             rep = verify_relations(build_operators(p, 60), p, tol=1e-12)
-            assert len(rep.residuals) == 9
+            assert len(rep.residuals) == 7
             assert rep.all_pass, (p.alphas, rep.failures)
 
     def test_general_lambda(self, rng):
@@ -196,8 +195,6 @@ class TestVerifyRelations:
             for name, value in want.items():
                 assert abs(rep.residuals[name] - value) < 1e-15, name
 
-    # projector_algebra and projector_resolution read no stored state: N and
-    # the P_mu are rebuilt from n and n % lambda, so they hold by construction
     @pytest.mark.parametrize("lam", [2, 3, 5])
     @pytest.mark.parametrize("corrupt,broken", [
         (_off_band_entry, {"number_ladder", "ladder_twist"}),

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cext_osc
-from cext_osc import fockrep, susy
+from cext_osc import susy
 from cext_osc.cli import EXIT_INVALID, main
 
 SRC = str(Path(cext_osc.__file__).resolve().parents[1])
@@ -122,36 +122,31 @@ def test_susy_outside_window_is_one_error_line():
 
 
 class TestLazyNames:
-    def test_matrix_names_import_from_the_package(self):
-        from cext_osc import SusyHierarchy, build_operators, verify_sqm
+    """The package binds the exact layers' names; ``fockrep`` is imported only by name."""
 
-        assert build_operators is fockrep.build_operators
-        assert verify_sqm is susy.verify_sqm
-        assert SusyHierarchy is susy.SusyHierarchy
-
-    def test_dir_and_all_list_the_lazy_names(self):
-        names = dir(cext_osc)
-        for name in ("build_operators", "verify_sqm", "SusyHierarchy", "fockrep", "susy"):
-            assert name in names and name in cext_osc.__all__
-        assert "NegativeStructureValue" not in cext_osc.__all__
-        for name in cext_osc.__all__:
-            getattr(cext_osc, name)
+    def test_package_names_resolve_without_numpy(self):
+        code = """
+import sys
+sys.modules["numpy"] = None
+import cext_osc
+public = [name for name in dir(cext_osc) if not name.startswith("_")]
+for name in public:
+    getattr(cext_osc, name)
+print({"new_params", "order_key", "verify_sqm", "susy"} <= set(public),
+      "build_operators" in public, "cext_osc.fockrep" in sys.modules)
+try:
+    import cext_osc.fockrep
+except ImportError:
+    print("ImportError")
+"""
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True False False\nImportError\n"
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cext_osc.no_such_name
         assert not hasattr(cext_osc, "NegativeStructureValue")
-
-    def test_lookup_is_not_cached(self, monkeypatch):
-        # a rebinding in the owning module is seen through the package and
-        # undone with it
-        original = fockrep.build_operators
-        assert cext_osc.build_operators is original
-        assert "build_operators" not in vars(cext_osc)
-        monkeypatch.setattr(fockrep, "build_operators", len)
-        assert cext_osc.build_operators is len
-        monkeypatch.undo()
-        assert cext_osc.build_operators is original
 
     def test_window_violation_is_one_class(self):
         assert cext_osc.WindowViolation is susy.WindowViolation

@@ -9,7 +9,6 @@ from .algebra import (
     ExistenceViolation,
     InadmissibleParams,
     KappaPair,
-    Rational,
     UnsupportedLambda,
     WindowViolation,
     alpha_to_kappa,

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
-Rational = Fraction
 RationalLike = Fraction | int | str
 
 
@@ -49,35 +49,34 @@ def _as_fraction(x: RationalLike) -> Fraction:
 class AlgebraParams:
     """Parameter vector (alpha_0, ..., alpha_{lambda-1}) with zero sum.
 
-    ``betas[mu]`` is the partial sum ``alpha_0 + ... + alpha_{mu-1}`` (so
-    ``betas[0] = 0``); the structure function is ``F(n) = n + betas[n % lam]``.
-    Use :func:`new_params` to build from the independent head parameters.
+    ``alphas`` is the only stored state: ``lam`` is its length and
+    ``betas[mu]`` the partial sum ``alpha_0 + ... + alpha_{mu-1}`` (so
+    ``betas[0] = 0``), both derived on first use; the structure function is
+    ``F(n) = n + betas[n % lam]``.  Use :func:`new_params` to build from the
+    independent head parameters.
     """
 
-    lam: int
     alphas: tuple[Fraction, ...]
-    betas: tuple[Fraction, ...]
 
     def __post_init__(self):
         if self.lam < 2:
             raise InadmissibleParams(f"lambda must be >= 2, got {self.lam}")
-        if len(self.alphas) != self.lam or len(self.betas) != self.lam:
-            raise InadmissibleParams("alphas/betas length must equal lambda")
         if sum(self.alphas) != 0:
             raise InadmissibleParams(f"sum of alphas must vanish, got {sum(self.alphas)}")
-        expect = Fraction(0)
-        for mu in range(self.lam):
-            if self.betas[mu] != expect:
-                raise InadmissibleParams(f"beta_{mu} inconsistent with alphas")
-            expect += self.alphas[mu]
         for mu in range(1, self.lam):
             f = mu + self.betas[mu]
             if f <= 0:
                 raise ExistenceViolation(mu, f)
 
-    def alpha(self, mu: int) -> Fraction:
-        """alpha_mu with the cyclic index convention alpha_mu = alpha_{mu mod lambda}."""
-        return self.alphas[mu % self.lam]
+    @cached_property
+    def lam(self) -> int:
+        """lambda, the order of the cyclic group: the number of alphas."""
+        return len(self.alphas)
+
+    @cached_property
+    def betas(self) -> tuple[Fraction, ...]:
+        """Partial sums beta_mu = alpha_0 + ... + alpha_{mu-1}, mu < lambda."""
+        return tuple(accumulate(self.alphas[:-1], initial=Fraction(0)))
 
     def structure_function(self, n: int) -> Fraction:
         """F(n) = n + beta_{n mod lambda}; solves F(n+1) - F(n) = G(n), F(0) = 0."""
@@ -137,13 +136,7 @@ def new_params(lam: int, alphas_head: Sequence[RationalLike]) -> AlgebraParams:
         raise InadmissibleParams(
             f"expected {lam - 1} head parameters for lambda={lam}, got {len(head)}"
         )
-    alphas = head + (-sum(head, Fraction(0)),)
-    betas = []
-    acc = Fraction(0)
-    for mu in range(lam):
-        betas.append(acc)
-        acc += alphas[mu]
-    return AlgebraParams(lam=lam, alphas=alphas, betas=tuple(betas))
+    return AlgebraParams(alphas=head + (-sum(head, Fraction(0)),))
 
 
 @dataclass(frozen=True)

@@ -381,16 +381,14 @@ def random_admissible_params(
     :class:`InadmissibleParams`.
     """
     while True:
-        head = []
-        lo = Fraction(-1)
+        head, total = [], 0  # total == sum(head)
         for mu in range(lam - 1):
             q = rng.randint(1, max_denom)
-            lo_int = math.floor(lo * q)
-            a = Fraction(rng.randint(lo_int, max_numer * q), q)
+            a = Fraction(rng.randint(math.floor((-(mu + 1) - total) * q), max_numer * q), q)
             # existence needs F(mu+1) = mu + 1 + sum(head) + a > 0
-            if mu + 1 + sum(head, Fraction(0)) + a <= 0:
+            if mu + 1 + total + a <= 0:
                 break
             head.append(a)
-            lo = -Fraction(mu + 2) - sum(head, Fraction(0))
+            total += a
         else:
             return new_params(lam, head)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraParams, InadmissibleParams, WindowViolation, new_params
+from .algebra import AlgebraParams, InadmissibleParams, WindowViolation
 
 
 def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
@@ -23,9 +23,8 @@ def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
     """
     if mu < 0:
         raise ValueError(f"shift must be >= 0, got {mu}")
-    lam = p.lam
-    head = [p.alphas[(nu + mu) % lam] for nu in range(lam - 1)]
-    return new_params(lam, head)
+    mu %= p.lam
+    return AlgebraParams(alphas=p.alphas[mu:] + p.alphas[:mu])
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,8 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
 
     Member mu is the diagonal F(N + mu), a slice of one pass over n < K + lambda;
     with the shifted algebras this realizes the factorization chain whose mu-th
-    ground energy is the partial spacing sum. Raises :class:`WindowViolation`
+    ground energy is the partial spacing sum F(mu) = omega_0 + ... + omega_{mu-1},
+    read from the same pass (F(lambda) = lambda). Raises :class:`WindowViolation`
     outside the window, naming the offending spacing.
     """
     lam = p.lam
@@ -67,12 +67,9 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     for mu, w in enumerate(omegas):
         if w <= 0:
             raise WindowViolation(f"omega_{mu} = {w} <= 0")
-    ground = [Fraction(0)]
-    for w in omegas:
-        ground.append(ground[-1] + w)
     f = [p.structure_function(n) for n in range(trunc + lam)]
     return SusyHierarchy(
-        base=p, omegas=omegas, ground_energies=tuple(ground),
+        base=p, omegas=omegas, ground_energies=tuple(f[:lam + 1]),
         diagonals=tuple(tuple(f[mu:mu + trunc]) for mu in range(lam + 1)),
         shifted=tuple(cyclic_shift(p, mu) for mu in range(lam)), trunc=trunc,
     )

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import cext_osc
 from cext_osc import (
     AlgebraParams,
     ExistenceViolation,
@@ -77,6 +78,37 @@ class TestConstruction:
         p = new_params(5, [1, Fraction(1, 2), 0, Fraction(-1, 2)])
         assert sum(p.alphas) == 0
         assert len(p.betas) == 5
+
+
+class TestDirectConstruction:
+    """``AlgebraParams(alphas=...)`` validates what the vector itself can get wrong."""
+
+    def test_alphas_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(AlgebraParams)] == ["alphas"]
+        assert not hasattr(AlgebraParams, "alpha")
+        assert not hasattr(cext_osc, "Rational")
+
+    def test_lam_and_betas_derived(self):
+        p = AlgebraParams(alphas=(Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)))
+        assert p.lam == 3
+        assert p.betas == (0, Fraction(1, 2), Fraction(5, 6))
+        assert p == new_params(3, [Fraction(1, 2), Fraction(1, 3)])
+
+    def test_nonzero_sum_rejected(self):
+        with pytest.raises(InadmissibleParams, match="sum of alphas"):
+            AlgebraParams(alphas=(Fraction(1), Fraction(0), Fraction(0)))
+
+    @pytest.mark.parametrize("alphas", [(), (Fraction(0),)])
+    def test_fewer_than_two_entries_rejected(self, alphas):
+        with pytest.raises(InadmissibleParams, match="lambda must be >= 2"):
+            AlgebraParams(alphas=alphas)
+
+    def test_existence_violation_names_first_mu(self):
+        # F(1) = 1/2 > 0, F(2) = 2 - 3 = -1, F(3) = 3 - 4 = -1
+        with pytest.raises(ExistenceViolation) as exc:
+            AlgebraParams(alphas=(Fraction(-1, 2), Fraction(-5, 2), Fraction(-1), Fraction(4)))
+        assert exc.value.mu == 2
+        assert exc.value.value == -1
 
 
 class TestStructureFunction:
@@ -175,7 +207,7 @@ class TestGroundLevelCache:
         p = params3(0, 6)
         p.energy(0)
         other = params3(10, 4)
-        q = dataclasses.replace(p, alphas=other.alphas, betas=other.betas)
+        q = dataclasses.replace(p, alphas=other.alphas)
         assert [q.energy(n) for n in range(12)] == [reference_energy(other, n) for n in range(12)]
         assert q.energy(1) != p.energy(1)
 

@@ -71,11 +71,9 @@ class TestBuildOperators:
             build_operators(new_params(3, [0, 0]), 5)
 
     def test_out_of_domain_point_still_raises(self):
-        # F(1) = 1 + beta_1 = -1; new_params refuses this point, so build it raw
+        # F(1) = 1 + beta_1 = -1; AlgebraParams refuses this point, so build it raw
         p = object.__new__(AlgebraParams)
-        for name, value in (("lam", 3), ("alphas", (Fraction(-2), Fraction(2), Fraction(0))),
-                            ("betas", (Fraction(0), Fraction(-2), Fraction(0)))):
-            object.__setattr__(p, name, value)
+        object.__setattr__(p, "alphas", (Fraction(-2), Fraction(2), Fraction(0)))
         with pytest.raises(ValueError, match="math domain"):
             build_operators(p, 6)
 

@@ -128,11 +128,8 @@ def admissible_params(draw, lams=st.integers(min_value=2, max_value=7), max_valu
 
 def unchecked_params3(a0, a1):
     """A lambda=3 point built without AlgebraParams' validation, so it may lie outside the domain."""
-    alphas = (Fraction(a0), Fraction(a1), -Fraction(a0) - Fraction(a1))
     p = object.__new__(AlgebraParams)
-    for name, value in (("lam", 3), ("alphas", alphas),
-                        ("betas", (Fraction(0), alphas[0], alphas[0] + alphas[1]))):
-        object.__setattr__(p, name, value)
+    object.__setattr__(p, "alphas", (Fraction(a0), Fraction(a1), -Fraction(a0) - Fraction(a1)))
     return p
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cext_osc import (
+    ExistenceViolation,
     WindowViolation,
     build_hierarchy,
     check_interlacing,
@@ -36,7 +37,18 @@ class TestCyclicShift:
             p = susy_point(rng)
             assert cyclic_shift(p, 0) == p
             assert cyclic_shift(p, p.lam) == p
+            assert cyclic_shift(p, p.lam + 1) == cyclic_shift(p, 1)
             assert cyclic_shift(cyclic_shift(p, 1), 2) == p
+
+    def test_shift_out_of_existence_raises(self):
+        # alphas (-1/2, 3, -5/2) shifted by 2 is (-5/2, -1/2, 3): F(1) = -3/2
+        with pytest.raises(ExistenceViolation) as exc:
+            cyclic_shift(new_params(3, ["-1/2", 3]), 2)
+        assert (exc.value.mu, exc.value.value) == (1, Fraction(-3, 2))
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError, match="shift must be >= 0"):
+            cyclic_shift(new_params(3, [0, Fraction(1, 2)]), -1)
 
 
 class TestBuildHierarchy:

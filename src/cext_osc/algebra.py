@@ -38,11 +38,12 @@ class WindowViolation(ValueError):
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, float):
+    # a bool is an int to Python, but True as a deformation parameter is a mistake
+    if isinstance(x, (float, bool)):
         raise TypeError(
-            f"refusing float {x!r}: pass Fraction, int, or a 'p/q' string"
+            f"refusing {type(x).__name__} {x!r}: pass Fraction, int, or a 'p/q' string"
         )
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,14 @@ class AlgebraParams:
     ``betas[mu]`` the partial sum ``alpha_0 + ... + alpha_{mu-1}`` (so
     ``betas[0] = 0``), both derived on first use; the structure function is
     ``F(n) = n + betas[n % lam]``.  Use :func:`new_params` to build from the
-    independent head parameters.
+    independent head parameters.  Entries follow :func:`new_params`'s rule
+    and are stored as a tuple of ``Fraction``; a float or bool raises ``TypeError``.
     """
 
     alphas: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "alphas", tuple(map(_as_fraction, self.alphas)))
         if self.lam < 2:
             raise InadmissibleParams(f"lambda must be >= 2, got {self.lam}")
         if sum(self.alphas) != 0:

@@ -248,14 +248,12 @@ def _grid_points(spec: str):
         lo, hi, step = (parse_rational(x) for x in pieces)
         if step <= 0:
             raise InadmissibleParams("grid step must be positive")
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v += step
-        axes.append(vals)
-    for a0 in axes[0]:
-        for a1 in axes[1]:
+        # an axis is (lo, step, count): no value is built before it is reached
+        axes.append((lo, step, math.floor((hi - lo) / step) + 1))
+    # both axes are parsed before the first point is yielded, so a bad spec prints nothing
+    (lo0, step0, n0), (lo1, step1, n1) = axes
+    for a0 in (lo0 + i * step0 for i in range(n0)):
+        for a1 in (lo1 + j * step1 for j in range(n1)):
             try:
                 yield new_params(3, [a0, a1])
             except INPUT_ERRORS as exc:
@@ -270,14 +268,16 @@ def sweep(grid, n_random, seed):
     """Classify many lambda=3 points, JSON-lines output plus a summary line."""
     if (grid is None) == (n_random is None):
         raise InadmissibleParams("give exactly one of --grid / --random")
+    # one pass: each point is drawn or stepped, classified and printed before the next
     if grid is not None:
-        points = list(_grid_points(grid))
+        points = _grid_points(grid)
     else:
         rng = random.Random(seed)
-        points = [random_admissible_params(rng) for _ in range(n_random)]
+        points = (random_admissible_params(rng) for _ in range(n_random))
     histogram: dict[str, int] = {}
-    disagreements = 0
+    count = disagreements = 0
     for p in points:
+        count += 1
         if isinstance(p, dict):
             click.echo(json.dumps(p))
             continue
@@ -291,7 +291,7 @@ def sweep(grid, n_random, seed):
         click.echo(json.dumps(line))
     summary = {
         "summary": True,
-        "points": len(points),
+        "points": count,
         "labels": dict(sorted(histogram.items())),
         "oracle_disagreements": disagreements,
     }

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, InadmissibleParams, UnsupportedLambda
+from .algebra import AlgebraParams, InadmissibleParams
 
 
 @dataclass(frozen=True)
@@ -79,23 +79,20 @@ def normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
 
 
 def log_normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
-    """Log of the normalization constant via gamma functions (lambda = 3 only), finite at any n."""
-    if p.lam != 3:
-        raise UnsupportedLambda(f"gamma closed form requires lambda=3, got {p.lam}")
+    """Log of the normalization constant via gamma functions, at any lambda and finite at any n.
+
+    F(lambda j + mu) = lambda (j + F(mu) / lambda), so with n = lambda k + r the
+    product is lambda^n k! prod_{mu >= 1} Gamma(c_mu + F(mu)/lambda) / Gamma(F(mu)/lambda),
+    where c_mu = k + [mu <= r] counts the i <= n with i = mu mod lambda.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    b1 = float((p.betas[1] + 1) / 3)
-    b2 = float((p.betas[2] + 2) / 3)
-    k, mu = divmod(n, 3)
-    log = n * math.log(3.0) - math.lgamma(b1) - math.lgamma(b2) + math.lgamma(k + 1)
-    if mu == 0:
-        log += math.lgamma(k + b1) + math.lgamma(k + b2)
-    elif mu == 1:
-        log += math.lgamma(k + 1 + b1) + math.lgamma(k + b2)
-    else:
-        log += math.lgamma(k + 1 + b1) + math.lgamma(k + 1 + b2)
+    lam = p.lam
+    k, r = divmod(n, lam)
+    log = n * math.log(lam) + math.lgamma(k + 1)
+    for mu in range(1, lam):
+        b = float(p.structure_function(mu) / lam)
+        log += math.lgamma(k + (mu <= r) + b) - math.lgamma(b)
     return log
 
 

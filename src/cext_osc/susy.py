@@ -174,8 +174,9 @@ def check_interlacing(h: SusyHierarchy, count: int) -> bool:
     enforces makes each member increase with n, so no sort is needed.
     """
     lam, ground = h.lam, h.ground_energies
-    if count > h.trunc - lam:
-        raise ValueError(f"count must be <= {h.trunc - lam}")
+    # a count below 1 would compare nothing and pass on any hierarchy
+    if not 1 <= count <= h.trunc - lam:
+        raise ValueError(f"count must be in 1..{h.trunc - lam}, got {count}")
     d = math.lcm(*(g.denominator for g in ground))
     e = [int(g * d) for g in ground]
     targets = [m // lam * e[lam] + e[m % lam] for m in range(count + lam)]

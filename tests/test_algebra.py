@@ -74,6 +74,10 @@ class TestConstruction:
         with pytest.raises(TypeError):
             new_params(3, [0.5, 0])
 
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="refusing bool"):
+            new_params(3, [True, 0])
+
     def test_general_lambda(self):
         p = new_params(5, [1, Fraction(1, 2), 0, Fraction(-1, 2)])
         assert sum(p.alphas) == 0
@@ -102,6 +106,29 @@ class TestDirectConstruction:
     def test_fewer_than_two_entries_rejected(self, alphas):
         with pytest.raises(InadmissibleParams, match="lambda must be >= 2"):
             AlgebraParams(alphas=alphas)
+
+    @pytest.mark.parametrize("alphas", [
+        (0.1, 0.2, -0.30000000000000004),  # summed in floats this is 0
+        (0.5, -0.5),
+        (True, -1),
+        (Fraction(1), False, -1),
+    ])
+    def test_float_and_bool_entries_rejected(self, alphas):
+        # the rule of new_params: exact rationals only
+        with pytest.raises(TypeError, match="refusing"):
+            AlgebraParams(alphas=alphas)
+
+    def test_any_sequence_gives_a_tuple_of_fractions(self):
+        p = AlgebraParams(alphas=[1, -1])
+        assert p.alphas == (1, -1) and type(p.alphas) is tuple
+        assert all(type(a) is Fraction for a in p.alphas)
+        assert p == new_params(2, [1]) and hash(p) == hash(new_params(2, [1]))
+        assert len({p, new_params(2, [1])}) == 1
+
+    def test_string_entries(self):
+        p = AlgebraParams(alphas=("1/2", "-1/2"))
+        assert p == new_params(2, [Fraction(1, 2)])
+        assert p.energy(1) == Fraction(3, 2) + Fraction(1, 4)
 
     def test_existence_violation_names_first_mu(self):
         # F(1) = 1/2 > 0, F(2) = 2 - 3 = -1, F(3) = 3 - 4 = -1

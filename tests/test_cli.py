@@ -1,8 +1,14 @@
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cext_osc
 from cext_osc import new_params
 from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, SCHEMA_VERSION, diagram_spec, main
 
@@ -14,6 +20,30 @@ def runner():
 
 def run(runner, *args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+
+
+SRC = str(Path(cext_osc.__file__).resolve().parents[1])
+# Runs the CLI on the arguments that follow; at exit it prints the process's
+# own peak RSS (VmHWM, in kB) as the last stderr line.
+REPORT_VMHWM = """
+import atexit, sys
+from cext_osc.cli import main
+
+def report():
+    with open("/proc/self/status") as fh:
+        print(next(l.split()[1] for l in fh if l.startswith("VmHWM:")), file=sys.stderr)
+
+atexit.register(report)
+main(sys.argv[1:])
+"""
+
+
+def fresh_cli(args, script="from cext_osc.cli import main; main()", **kwargs):
+    """The CLI in a fresh interpreter, with stdout and stderr piped."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.Popen([sys.executable, "-c", script, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, **kwargs)
 
 
 @pytest.mark.parametrize("args,env", [
@@ -41,6 +71,11 @@ def run(runner, *args, env=None):
     (["classify", "--lambda", "2", "--alpha0", "1/2", "--alpha1", "5"], None),
     (["spectrum", "--alpha0", "0", "--alpha1", "1e400"], None),
     (["diagram", "--alpha0", "0", "--alpha1", "1e400"], None),
+    # a grid spec is parsed whole before the first point is printed
+    (["sweep", "--grid", "0:1"], None),
+    (["sweep", "--grid", "0:1:1,0:1:0"], None),
+    (["sweep", "--grid", "0:1:1,0:x:1"], None),
+    (["sweep", "--grid", "0:1:1,0:1:1", "--random", "5"], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
     # click's usage errors and the library's input errors end the same way
@@ -219,6 +254,47 @@ class TestSweep:
     def test_requires_mode(self, runner):
         res = run(runner, "sweep")
         assert res.exit_code == EXIT_INVALID
+
+    def test_grid_axes_match_repeated_addition(self, runner):
+        res = run(runner, "sweep", "--grid", "-1/3:7/12:1/4,1/7:1/7:1")
+        lines = [json.loads(l) for l in res.output.strip().splitlines()]
+        assert [l["alpha0"] for l in lines[:-1]] == ["-1/3", "-1/12", "1/6", "5/12"]
+        assert {l["alpha1"] for l in lines[:-1]} == {"1/7"}
+        assert run(runner, "sweep", "--grid", "1:0:1,0:1:1").output.splitlines() == [
+            json.dumps({"summary": True, "points": 0, "labels": {},
+                        "oracle_disagreements": 0})]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS (VmHWM) from /proc")
+    def test_memory_does_not_grow_with_the_point_count(self):
+        # VmHWM, not ru_maxrss: a child's ru_maxrss starts at its parent's high-water mark
+        def peak_kb(count):
+            proc = fresh_cli(["sweep", "--random", str(count)], REPORT_VMHWM)
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            return int(err.split()[-1])
+
+        small, large = peak_kb(2000), peak_kb(20000)
+        assert abs(large - small) < 3 * 1024, (small, large)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+    def test_huge_grid_prints_its_first_line_at_once(self):
+        # 10^9 + 1 values of alpha0: an axis built as a list would exhaust the limit
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        proc = fresh_cli(["sweep", "--grid", "0:1:1/1000000000,0:0:1"],
+                         preexec_fn=limit_address_space)
+        try:
+            assert select.select([proc.stdout], [], [], 10)[0], "no line within 10 s"
+            first = proc.stdout.readline()
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert json.loads(first) == {"alpha0": "0", "alpha1": "0", "label": "I.1.1",
+                                     "oracle_agrees": True}
 
 
 class TestDiagram:

@@ -236,12 +236,13 @@ class TestNormalization:
         assert normalization_constant(params3(10, 4), 0) == 1
 
     def test_gamma_form_matches_product(self, rng):
-        for _ in range(30):
-            p = random_admissible_params(rng, max_numer=15)
-            for n in (0, 1, 2, 3, 7, 12, 20, 30):
-                exact = float(normalization_constant(p, n))
-                closed = normalization_constant_gamma(p, n)
-                assert math.isclose(exact, closed, rel_tol=1e-10), (p.alphas, n)
+        for lam in range(2, 8):
+            for _ in range(30):
+                p = random_admissible_params(rng, lam, max_numer=15)
+                for n in (0, 1, 2, 3, 7, 12, 20, 30):
+                    exact = float(normalization_constant(p, n))
+                    closed = normalization_constant_gamma(p, n)
+                    assert math.isclose(exact, closed, rel_tol=1e-10), (p.alphas, n)
 
     def test_gamma_form_is_the_exp_of_its_log(self, rng):
         for _ in range(10):
@@ -264,5 +265,7 @@ class TestNormalization:
     def test_log_gamma_form_rejects_what_the_value_rejects(self):
         with pytest.raises(ValueError):
             log_normalization_constant_gamma(params3(0, 6), -1)
-        with pytest.raises(ValueError):
-            log_normalization_constant_gamma(new_params(2, [Fraction(1, 2)]), 3)
+        # lambda = 2 has a closed form too: F(1) F(2) F(3) = 3/2 * 2 * 7/2
+        p = new_params(2, [Fraction(1, 2)])
+        assert math.isclose(log_normalization_constant_gamma(p, 3), math.log(Fraction(21, 2)),
+                            rel_tol=1e-14)

@@ -220,6 +220,19 @@ class TestInterlacing:
             p = susy_point(rng, lam=lam)
             assert check_interlacing(build_hierarchy(p, trunc=24), 16)
 
+    def test_count_below_one_is_refused(self):
+        # one ground level off by 1/1000 fails at count 1; counts below 1 would compare nothing
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=60)
+        ground = list(h.ground_energies)
+        ground[0] += Fraction(1, 1000)
+        bad = dataclasses.replace(h, ground_energies=tuple(ground))
+        assert not check_interlacing(bad, 57) and not check_interlacing(bad, 1)
+        for count in (0, -5):
+            with pytest.raises(ValueError, match="count must be in 1"):
+                check_interlacing(bad, count)
+            with pytest.raises(ValueError):
+                check_interlacing(h, count)
+
     def test_swapped_levels_fail(self):
         # the same values in another order: eigenvalue n is no longer level n
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=30)

@@ -40,5 +40,7 @@ from .susy import (
     check_interlacing,
     cyclic_shift,
     projection_shift_identity,
+    shift_flags,
+    superalgebra_gap,
     verify_sqm,
 )

@@ -43,6 +43,8 @@ def _as_fraction(x: RationalLike) -> Fraction:
         raise TypeError(
             f"refusing {type(x).__name__} {x!r}: pass Fraction, int, or a 'p/q' string"
         )
+    if isinstance(x, str):
+        return parse_rational(x)
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

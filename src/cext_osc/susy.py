@@ -3,7 +3,8 @@
 Each member Hamiltonian is the structure function evaluated at a shifted
 number operator; the supercharges are block matrices over the shifted
 algebras' ladder operators, and together they satisfy the two-generator
-superalgebra relations member by member.  Only :func:`verify_sqm` loads NumPy.
+superalgebra relations member by member, decided in integers by
+:func:`superalgebra_gap`.  Only :func:`verify_sqm`, the float realization, loads NumPy.
 """
 
 from __future__ import annotations
@@ -81,6 +82,35 @@ def _worst_gap(values, targets, d: int) -> Fraction:
                 if v.numerator * d != t * v.denominator), default=Fraction(0))
 
 
+def superalgebra_gap(h: SusyHierarchy) -> Fraction:
+    """Exact worst residual of {Q, Q+} = H over all members, on levels n < K - 1.
+
+    With q = ``shifted[mu]``, a+ a = F_q(N) and a a+ = F_q(N + 1), so it reads
+    H_mu(n) = E_mu + F_q(n) and H_{mu+1}(n) = E_mu + F_q(n + 1), compared in
+    integers. Both give H_{mu+1}(n) = H_mu(n + 1), so [H, Q] = 0 = [H, Q+];
+    Q's one block lies below the diagonal, so Q^2 = (Q+)^2 = 0 by its shape.
+    """
+    cut, worst = h.trunc - 1, Fraction(0)
+    for mu, q in enumerate(h.shifted):
+        ground = h.ground_energies[mu]
+        d = math.lcm(ground.denominator, *(b.denominator for b in q.betas))
+        e, betas = int(ground * d), [int(b * d) for b in q.betas]
+        f = [e + n * d + betas[n % q.lam] for n in range(cut + 1)]  # d (E_mu + F_q(n))
+        worst = max(worst, _worst_gap(h.diagonals[mu], f[:cut], d),
+                    _worst_gap(h.diagonals[mu + 1], f[1:], d))
+    return worst
+
+
+def shift_flags(h: SusyHierarchy) -> tuple[bool, bool]:
+    """Exactly: (last member == first + total spacing, shift by lambda == base)."""
+    w = sum(h.omegas, Fraction(0))
+    # x - y == w, cross-multiplied over the common denominator of x, y and w
+    shift_exact = all((x.numerator * y.denominator - y.numerator * x.denominator) * w.denominator
+                      == w.numerator * x.denominator * y.denominator
+                      for x, y in zip(h.diagonals[h.lam], h.diagonals[0]))
+    return shift_exact, cyclic_shift(h.base, h.lam) == h.base
+
+
 @dataclass(frozen=True)
 class SqmReport:
     """Residuals of the superalgebra relations, per hierarchy member."""
@@ -109,16 +139,16 @@ def verify_sqm(h: SusyHierarchy, tol: float = 1e-12) -> SqmReport:
     """Check the superalgebra relations for every member, on the interior window.
 
     Per mu: Q^2 = 0, (Q+)^2 = 0, [H, Q] = 0, [H, Q+] = 0, {Q, Q+} = H.
-    Globally: the last member equals the first shifted by the total spacing
-    (exact, in integers), shifting by lambda returns the base algebra, and
-    the two construction paths for each member agree.
+    Globally: the two exact :func:`shift_flags`, and the two construction
+    paths for each member agree.
 
-    The one float realization: it builds the ladder of ``shifted[mu]`` with
-    :func:`~cext_osc.fockrep.build_operators` and works on K x K blocks. With
-    upper = H_mu - E_mu and lower = H_{mu+1} - E_mu as vectors, [H, Q] is
-    ``lower[:, None] * a - a * upper`` and {Q, Q+} - H is a+ a - upper and
-    a a+ - lower. Q has one nonzero block, below the diagonal, so Q Q and
-    Q+ Q+ vanish block by block and their residuals are exactly 0.0.
+    The float realization of :func:`superalgebra_gap`: it builds each
+    ``shifted[mu]`` ladder with :func:`~cext_osc.fockrep.build_operators` and
+    works on K x K blocks. With upper = H_mu - E_mu and lower = H_{mu+1} - E_mu
+    as vectors, [H, Q] is ``lower[:, None] * a - a * upper`` and {Q, Q+} - H
+    is a+ a - upper and a a+ - lower. Q has one nonzero block, below the
+    diagonal, so Q Q and Q+ Q+ vanish block by block and their residuals are
+    exactly 0.0.
     """
     import numpy as np
 
@@ -150,12 +180,7 @@ def verify_sqm(h: SusyHierarchy, tol: float = 1e-12) -> SqmReport:
             agreement.append(_interior_max(ata - np.diag(members[0]), cut))
         agreement.append(_interior_max(
             aat + ground * np.eye(trunc) - np.diag(members[mu + 1]), cut))
-    w = sum(h.omegas, Fraction(0))
-    # x - y == w, cross-multiplied over the common denominator of x, y and w
-    shift_exact = all((x.numerator * y.denominator - y.numerator * x.denominator) * w.denominator
-                      == w.numerator * x.denominator * y.denominator
-                      for x, y in zip(h.diagonals[lam], h.diagonals[0]))
-    periodic = cyclic_shift(h.base, lam) == h.base
+    shift_exact, periodic = shift_flags(h)
     return SqmReport(
         per_mu=tuple(per_mu),
         hierarchy_shift_exact=shift_exact,

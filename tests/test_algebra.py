@@ -129,6 +129,13 @@ class TestDirectConstruction:
         p = AlgebraParams(alphas=("1/2", "-1/2"))
         assert p == new_params(2, [Fraction(1, 2)])
         assert p.energy(1) == Fraction(3, 2) + Fraction(1, 4)
+        assert new_params(2, [" 1/2 "]) == p
+        # a string that is no rational is an input error, as parse_rational makes it
+        for build in (lambda: new_params(3, ["1/0", 0]),
+                      lambda: AlgebraParams(alphas=("1/0", "0")),
+                      lambda: new_params(3, ["x", 0])):
+            with pytest.raises(InadmissibleParams, match="cannot parse rational"):
+                build()
 
     def test_existence_violation_names_first_mu(self):
         # F(1) = 1/2 > 0, F(2) = 2 - 3 = -1, F(3) = 3 - 4 = -1

@@ -3,6 +3,7 @@ import os
 import select
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -195,7 +196,27 @@ class TestSusy:
         assert doc["omegas"] == ["1", "3/2", "1/2"]
         assert doc["ground_energies"] == ["0", "1", "5/2", "3"]
         assert doc["relations_pass"] is True
-        assert doc["max_residual"] < 1e-12
+        assert doc["max_residual"] == 0.0
+
+    @pytest.mark.parametrize("flags", [(False, True), (True, False)])
+    def test_failed_shift_flag_exits_3(self, runner, monkeypatch, flags):
+        # build_hierarchy makes both flags hold, so a failing one is patched in
+        monkeypatch.setattr("cext_osc.cli.shift_flags", lambda h: flags)
+        res = run(runner, "susy", "--alpha0", "0", "--alpha1", "1/2")
+        assert res.exit_code == EXIT_VERIFY_FAIL
+        doc = json.loads(res.output)["susy"]
+        assert doc["relations_pass"] is False
+        assert doc["hierarchy_shift_exact"] is flags[0]
+
+    @pytest.mark.parametrize("tol,code", [(0.126, 0), (0.125, EXIT_VERIFY_FAIL)])
+    def test_residual_is_held_to_a_strict_tol(self, runner, monkeypatch, tol, code):
+        monkeypatch.setattr("cext_osc.cli.superalgebra_gap", lambda h: Fraction(1, 8))
+        monkeypatch.setattr("cext_osc.cli.projection_shift_identity", lambda h, tol: True)
+        res = run(runner, "susy", "--alpha0", "0", "--alpha1", "1/2", "--tol", str(tol))
+        assert res.exit_code == code
+        doc = json.loads(res.output)["susy"]
+        assert doc["max_residual"] == 0.125
+        assert doc["relations_pass"] is (code == 0)
 
     def test_window_violation_exits_2(self, runner):
         res = run(runner, "susy", "--alpha0", "0", "--alpha1", "6")

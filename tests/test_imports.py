@@ -4,6 +4,7 @@ The process tests start the CLI in a fresh interpreter, because the test
 session itself has NumPy loaded long before any test runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -36,20 +37,20 @@ EXACT_COMMANDS = [
     ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii"],
     ["diagram", "--alpha0", "2", "--alpha1", "8"],
     ["diagram", "--alpha0", "0", "--alpha1", "1/2", "--ascii", "--susy"],
+    # susy decides the superalgebra in integers: no command calls fockrep or
+    # verify_sqm, the library's float realization and NumPy's only users
+    ["susy", "--alpha0", "0", "--alpha1", "1/2"],
+    ["susy", "--alpha0", "0", "--alpha1", "1/2", "--truncation", "480"],
     ["--help"],
 ]
-# verify_sqm's float realization is the only user of NumPy
-MATRIX_COMMANDS = [
-    ["susy", "--alpha0", "0", "--alpha1", "1/2"],
-]
 
 
-def python(*args):
+def python(*args, **kwargs):
     # click wraps the help to COLUMNS; in_process sets the same width
     env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=120, **kwargs)
 
 
 def cli_process(args, block_numpy=False):
@@ -105,12 +106,19 @@ def test_exact_command_runs_without_numpy(args, in_process):
     assert stdout == in_process(args)
 
 
-@pytest.mark.parametrize("args", MATRIX_COMMANDS, ids=" ".join)
-def test_matrix_command_loads_numpy(args, in_process):
-    code, stdout, stderr, loaded = cli_process(args)
-    assert code == 0, stderr
-    assert loaded
-    assert stdout == in_process(args)
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+def test_large_truncation_fits_in_bounded_memory():
+    # dense K x K matrices at K = 20000 need about 3 GiB; the exact checks need little
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = python("-c", RUN_CLI, "allow", "susy", "--alpha0", "0", "--alpha1", "1/2",
+                  "--truncation", "20000", preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["susy"]["relations_pass"] is True
+    assert proc.stderr.splitlines() == ["False"]
 
 
 def test_susy_outside_window_is_one_error_line():

@@ -13,6 +13,8 @@ from cext_osc import (
     cyclic_shift,
     new_params,
     projection_shift_identity,
+    shift_flags,
+    superalgebra_gap,
     verify_sqm,
 )
 from cext_osc import fockrep
@@ -202,6 +204,48 @@ class TestVerifySqm:
             assert rep.all_pass, (p.alphas, rep.max_residual)
 
 
+class TestSuperalgebraGap:
+    """The exact check held against verify_sqm, its float realization."""
+
+    def test_worked_example(self):
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=60)
+        assert superalgebra_gap(h) == 0 and type(superalgebra_gap(h)) is Fraction
+        assert shift_flags(h) == (True, True)
+
+    @pytest.mark.parametrize("trunc", [40, 120])
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_one_moved_entry_is_the_gap(self, rng, lam, trunc):
+        for _ in range(5):
+            h = build_hierarchy(susy_point(rng, lam=lam), trunc=trunc)
+            assert superalgebra_gap(h) == 0 and verify_sqm(h).all_pass
+            # any member, any level that both checks read
+            mu, n = rng.randrange(lam + 1), rng.randrange(trunc - 1)
+            member = list(h.diagonals[mu])
+            member[n] += Fraction(1, 1000) * rng.choice([1, -1])
+            bad = dataclasses.replace(
+                h, diagonals=(*h.diagonals[:mu], tuple(member), *h.diagonals[mu + 1:]))
+            assert superalgebra_gap(bad) == Fraction(1, 1000), (mu, n)
+            assert not verify_sqm(bad).all_pass, (mu, n)
+
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_moved_ground_energy_fails(self, rng, lam):
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=40)
+        for mu in range(lam):
+            ground = list(h.ground_energies)
+            ground[mu] += Fraction(1, 1000)
+            bad = dataclasses.replace(h, ground_energies=tuple(ground))
+            assert superalgebra_gap(bad) == Fraction(1, 1000), mu
+            assert not verify_sqm(bad).all_pass, mu
+
+    def test_last_level_is_outside_the_window(self):
+        # the truncation row: a+ a and a a+ are cut there, so neither check reads it
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
+        member = list(h.diagonals[1])
+        member[-1] += 1
+        bad = dataclasses.replace(h, diagonals=(h.diagonals[0], tuple(member), *h.diagonals[2:]))
+        assert superalgebra_gap(bad) == 0 and verify_sqm(bad).max_residual < TOL
+
+
 class TestInterlacing:
     def test_worked_example(self):
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=30)
@@ -367,6 +411,7 @@ class TestExactChecksMatchReferences:
         count = h.trunc - h.lam
         assert check_interlacing(h, count) == reference_interlacing(h, count)
         assert projection_shift_identity(h) == reference_projection(h)
+        assert (superalgebra_gap(h) == 0 and all(shift_flags(h))) == verify_sqm(h).all_pass
 
     @pytest.mark.parametrize("lam", range(2, 8))
     def test_references_pass_clean_and_fail_corrupted(self, rng, lam):

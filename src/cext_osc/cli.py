@@ -209,7 +209,7 @@ def spectrum(alpha0, alpha1, alphas, lam, count):
 
 @main.command()
 @param_options
-@click.option("--truncation", "trunc", type=int, default=60,
+@click.option("--truncation", "trunc", type=click.IntRange(max=10**6), default=60,
               envvar="CEXT_OSC_DEFAULT_TRUNCATION", help="matrix truncation K")
 @click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
 def susy(alpha0, alpha1, alphas, lam, trunc, tol):
@@ -317,7 +317,7 @@ class DiagramSpec:
 def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> DiagramSpec:
     lam = p.lam
     if susy_mode:
-        hier = build_hierarchy(p, max(3 * count, 2 * lam))
+        hier = build_hierarchy(p, max(count, 2 * lam))
         cols = tuple(
             tuple((n, hier.diagonals[mu][n]) for n in range(count))
             for mu in range(lam + 1)

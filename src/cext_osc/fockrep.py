@@ -119,7 +119,7 @@ class RelationReport:
 def _interior_max(m: np.ndarray, cut: int) -> float:
     """Max |entry| on the interior window; a 1-D ``m`` stands for a diagonal."""
     window = m[:cut] if m.ndim == 1 else m[:cut, :cut]
-    return float(np.max(np.abs(window))) if cut > 0 else 0.0
+    return float(np.max(np.abs(window)))
 
 
 def verify_relations(ops: OperatorSet, p: AlgebraParams, tol: float = 1e-12) -> RelationReport:

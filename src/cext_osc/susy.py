@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import AlgebraParams, InadmissibleParams, WindowViolation
 
@@ -47,6 +48,12 @@ class SusyHierarchy:
     shifted: tuple[AlgebraParams, ...]
     trunc: int
 
+    def __post_init__(self):
+        # a missing or short member would make every check compare less, and pass
+        if not (self.trunc >= 2 * self.lam and len(self.diagonals) == self.lam + 1
+                and all(len(m) == self.trunc for m in self.diagonals)):
+            raise ValueError(f"need {self.lam + 1} members, each trunc >= {2 * self.lam} long")
+
     @property
     def lam(self) -> int:
         return self.base.lam
@@ -76,39 +83,45 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     )
 
 
-def _worst_gap(values, targets, d: int) -> Fraction:
-    """Exact max |values[n] - targets[n] / d|, targets integers; equal entries make no Fraction."""
-    return max((abs(v - Fraction(t, d)) for v, t in zip(values, targets)
+def _gap(member, firsts, period, cut: int) -> Fraction:
+    """Exact max |member[n] - L(n)| over n < cut, L(lambda k + nu) = firsts[nu] + k period.
+
+    L streams in integers over its own common denominator; an equal entry makes no Fraction.
+    """
+    d = math.lcm(period.denominator, *(f.denominator for f in firsts))
+    step = period.numerator * (d // period.denominator)
+    ints = [f.numerator * (d // f.denominator) for f in firsts]  # d * firsts, no Fraction built
+    ladder = (t + k * step for k in range(cut // len(ints) + 1) for t in ints)
+    return max((abs(v - Fraction(t, d)) for v, t in zip(islice(member, cut), ladder)
                 if v.numerator * d != t * v.denominator), default=Fraction(0))
+
+
+def _block_gap(h: SusyHierarchy, mu: int, j: int) -> Fraction:
+    """Member mu + j against E_mu + F_q(n + j) on n < K - 1, q = ``shifted[mu]``."""
+    q, ground = h.shifted[mu], h.ground_energies[mu]
+    return _gap(h.diagonals[mu + j], [ground + q.structure_function(nu + j)
+                                      for nu in range(q.lam)], q.lam, h.trunc - 1)
 
 
 def superalgebra_gap(h: SusyHierarchy) -> Fraction:
     """Exact worst residual of {Q, Q+} = H over all members, on levels n < K - 1.
 
     With q = ``shifted[mu]``, a+ a = F_q(N) and a a+ = F_q(N + 1), so it reads
-    H_mu(n) = E_mu + F_q(n) and H_{mu+1}(n) = E_mu + F_q(n + 1), compared in
-    integers. Both give H_{mu+1}(n) = H_mu(n + 1), so [H, Q] = 0 = [H, Q+];
+    H_mu(n) = E_mu + F_q(n) and H_{mu+1}(n) = E_mu + F_q(n + 1), two ladders of
+    period lambda. Both give H_{mu+1}(n) = H_mu(n + 1), so [H, Q] = 0 = [H, Q+];
     Q's one block lies below the diagonal, so Q^2 = (Q+)^2 = 0 by its shape.
     """
-    cut, worst = h.trunc - 1, Fraction(0)
-    for mu, q in enumerate(h.shifted):
-        ground = h.ground_energies[mu]
-        d = math.lcm(ground.denominator, *(b.denominator for b in q.betas))
-        e, betas = int(ground * d), [int(b * d) for b in q.betas]
-        f = [e + n * d + betas[n % q.lam] for n in range(cut + 1)]  # d (E_mu + F_q(n))
-        worst = max(worst, _worst_gap(h.diagonals[mu], f[:cut], d),
-                    _worst_gap(h.diagonals[mu + 1], f[1:], d))
-    return worst
+    return max(_block_gap(h, mu, j) for mu in range(h.lam) for j in (0, 1))
 
 
 def shift_flags(h: SusyHierarchy) -> tuple[bool, bool]:
-    """Exactly: (last member == first + total spacing, shift by lambda == base)."""
+    """Exactly: (last member == first + total spacing, cyclic_shift(shifted[-1], 1) == base)."""
     w = sum(h.omegas, Fraction(0))
     # x - y == w, cross-multiplied over the common denominator of x, y and w
     shift_exact = all((x.numerator * y.denominator - y.numerator * x.denominator) * w.denominator
                       == w.numerator * x.denominator * y.denominator
                       for x, y in zip(h.diagonals[h.lam], h.diagonals[0]))
-    return shift_exact, cyclic_shift(h.base, h.lam) == h.base
+    return shift_exact, cyclic_shift(h.shifted[-1], 1) == h.base
 
 
 @dataclass(frozen=True)
@@ -194,49 +207,37 @@ def check_interlacing(h: SusyHierarchy, count: int) -> bool:
     """Exact check of the interlaced eigenvalue ladder of all members.
 
     The n-th eigenvalue of member mu must equal k * Omega + E_nu, the partial
-    spacing sum, where n + mu = lambda * k + nu; both sides are integers over the
-    ground energies' common denominator. The window that :func:`build_hierarchy`
-    enforces makes each member increase with n, so no sort is needed.
+    spacing sum, where n + mu = lambda * k + nu: a ladder of period Omega = E_lambda
+    as stored. The window that :func:`build_hierarchy` enforces makes each
+    member increase with n, so no sort is needed.
     """
-    lam, ground = h.lam, h.ground_energies
+    lam, g = h.lam, h.ground_energies
     # a count below 1 would compare nothing and pass on any hierarchy
     if not 1 <= count <= h.trunc - lam:
         raise ValueError(f"count must be in 1..{h.trunc - lam}, got {count}")
-    d = math.lcm(*(g.denominator for g in ground))
-    e = [int(g * d) for g in ground]
-    targets = [m // lam * e[lam] + e[m % lam] for m in range(count + lam)]
-    return not any(_worst_gap(h.diagonals[mu], targets[mu:mu + count], d)
-                   for mu in range(lam + 1))
-
-
-def _h0_gap(member, q: AlgebraParams, offsets, cut: int) -> Fraction:
-    """Exact max over n < cut of |member[n] - H0(n) - offsets[n % lambda]|, H0 that of q."""
-    d = 2 * math.lcm(*(x.denominator for x in (*q.betas, *offsets)))
-    betas, extra = [int(b * d) for b in q.betas], [int(x * d) for x in offsets]
-    f = [n * d + betas[n % q.lam] for n in range(cut + 1)]  # d F(n), even
-    return _worst_gap(member, [(f[n] + f[n + 1]) // 2 + extra[n % q.lam] for n in range(cut)], d)
+    ladder = [*g[:lam], *(g[lam] + e for e in g[:lam])]  # its levels m < 2 lambda
+    return not any(_gap(member, ladder[mu:mu + lam], g[lam], count)
+                   for mu, member in enumerate(h.diagonals))
 
 
 def projection_shift_identity(h: SusyHierarchy, tol: float = 1e-12) -> bool:
     """Verify each member against its shifted algebra's bosonic Hamiltonian.
 
-    Member mu must equal H0 of ``shifted[mu]`` minus half the
-    spacing-weighted projector sum plus the ground energy; for lambda = 3
-    the explicit rewrites in terms of the base bosonic Hamiltonian are
-    checked as well.  Each side is diagonal, with H0 = (F(n) + F(n + 1)) / 2,
-    and compared in integers on levels n < K - 1; a worst residual >= ``tol`` fails.
+    Member mu must equal E_mu plus H0 of q = ``shifted[mu]`` minus half the spacing-weighted
+    projector sum. As H0 = (F_q(N) + F_q(N + 1)) / 2, that is H0 - sum (1 + alpha_nu) P_nu / 2
+    = F_q(N) exactly: the upper block of :func:`superalgebra_gap`. For lambda = 3 the rewrites
+    in terms of H0 of ``shifted[0]``, the ladder with firsts E(nu), are checked as well; all
+    on levels n < K - 1, and a worst residual >= ``tol`` fails.
     """
-    lam, cut, ground = h.lam, h.trunc - 1, h.ground_energies
-    worst = max(_h0_gap(h.diagonals[mu], q, [ground[mu] - (1 + a) / 2 for a in q.alphas], cut)
-                for mu, q in enumerate(h.shifted))
-    if lam == 3:
-        a = h.base.alphas
+    worst = max(_block_gap(h, mu, 0) for mu in range(h.lam))
+    if h.lam == 3:
+        a, q = h.base.alphas, h.shifted[0]
         combos = [
             [-(1 + a[nu]) / 2 for nu in range(3)],
             [(1 + a[nu]) / 2 for nu in range(3)],
             [(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)],
         ]
-        worst = max(worst, *(
-            _h0_gap(h.diagonals[mu], h.shifted[0], combos[mu], cut) for mu in range(3)))
+        worst = max(worst, *(_gap(h.diagonals[mu], [q.energy(nu) + c[nu] for nu in range(3)], 3,
+                                  h.trunc - 1) for mu, c in enumerate(combos)))
     # the rule "fail when worst >= tol" as written: a NaN tol fails nothing
     return not worst >= tol

@@ -217,6 +217,13 @@ class TestVerifyRelations:
         shifted = (h.shifted[0], h.base, *h.shifted[2:])
         assert not projection_shift_identity(dataclasses.replace(h, shifted=shifted))
 
+    def test_empty_window_is_an_error(self):
+        # at K = 1 the window n < K - 1 is empty: no residual may read 0.0 there
+        p = params3(0, Fraction(1, 2))
+        ops = dataclasses.replace(build_operators(p, 20), trunc=1)
+        with pytest.raises(ValueError):
+            verify_relations(ops, p)
+
     def test_report_shape(self):
         p = params3(0, 6)
         rep = verify_relations(build_operators(p, 40), p, tol=1e-12)

@@ -88,6 +88,25 @@ class TestBuildHierarchy:
                 for n in range(20))
 
 
+class TestMalformedHierarchy:
+    """A hierarchy whose members cannot be compared is refused, never passed."""
+
+    @pytest.mark.parametrize("change", [
+        lambda h: {"diagonals": ((),) * 4},
+        lambda h: {"trunc": 1},
+        lambda h: {"trunc": 21},
+        lambda h: {"trunc": 5, "diagonals": tuple(m[:5] for m in h.diagonals)},
+        lambda h: {"diagonals": h.diagonals[:-1]},
+        lambda h: {"diagonals": (h.diagonals[0][:-1], *h.diagonals[1:])},
+    ], ids=["empty-members", "trunc-1", "members-too-short", "trunc-below-2-lambda",
+            "member-missing", "member-one-short"])
+    def test_shape_is_checked(self, change):
+        # unchecked, an empty or one-level hierarchy would pass every exact check and flag
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
+        with pytest.raises(ValueError, match="need 4 members"):
+            dataclasses.replace(h, **change(h))
+
+
 def dense_reference(h):
     """The superalgebra residuals from explicit 2K x 2K block matrices.
 
@@ -237,6 +256,15 @@ class TestSuperalgebraGap:
             assert superalgebra_gap(bad) == Fraction(1, 1000), mu
             assert not verify_sqm(bad).all_pass, mu
 
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_open_shift_chain_fails_the_periodic_flag(self, rng, lam):
+        # the flag reads the stored shifts: shifted[lambda - 1] shifted once more is base
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
+        assert cyclic_shift(h.base, 1) != h.base
+        bad = dataclasses.replace(h, shifted=(*h.shifted[:-1], cyclic_shift(h.base, 0)))
+        assert shift_flags(bad) == (True, False)
+        assert not verify_sqm(bad).shift_periodic and not verify_sqm(bad).all_pass
+
     def test_last_level_is_outside_the_window(self):
         # the truncation row: a+ a and a a+ are cut there, so neither check reads it
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
@@ -276,6 +304,21 @@ class TestInterlacing:
                 check_interlacing(bad, count)
             with pytest.raises(ValueError):
                 check_interlacing(h, count)
+
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_period_is_the_stored_ground_energy(self, rng, lam):
+        # E_lambda is the period Omega of every ladder; no other exact check reads it
+        h = build_hierarchy(susy_point(rng, lam=lam), trunc=24)
+        assert check_interlacing(h, 24 - lam)
+        for delta in (Fraction(1, 1000), Fraction(-1, 1000)):
+            g = (*h.ground_energies[:lam], h.ground_energies[lam] + delta)
+            bad = dataclasses.replace(h, ground_energies=g)
+            assert not check_interlacing(bad, 24 - lam), delta
+            assert superalgebra_gap(bad) == 0 and projection_shift_identity(bad)
+            # members that follow the ladder of the moved period pass again
+            ladder = [m // lam * g[lam] + g[m % lam] for m in range(24 + lam)]
+            members = tuple(tuple(ladder[mu:mu + 24]) for mu in range(lam + 1))
+            assert check_interlacing(dataclasses.replace(bad, diagonals=members), 24 - lam)
 
     def test_swapped_levels_fail(self):
         # the same values in another order: eigenvalue n is no longer level n
@@ -327,6 +370,14 @@ class TestProjectionShiftIdentity:
             shifted[mu] = cyclic_shift(h.base, mu + 1)
             bad = dataclasses.replace(h, shifted=tuple(shifted))
             assert not projection_shift_identity(bad), mu
+
+    def test_rewrites_read_the_base_point(self):
+        # the lambda = 3 rewrites carry the paper's coefficients in the base alphas; under
+        # another base point they fail, while every check that reads no base still passes
+        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
+        bad = dataclasses.replace(h, base=h.shifted[1])
+        assert superalgebra_gap(bad) == 0 and check_interlacing(bad, 17)
+        assert not projection_shift_identity(bad)
 
     def test_tol_is_a_strict_bound(self):
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)

@@ -27,6 +27,7 @@ from .spectrum import (
     degeneracy_pattern,
     detect_period,
     expected_prefix,
+    label_from_key,
     levels,
     oracle_agrees,
     order_key,

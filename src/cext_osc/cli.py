@@ -37,6 +37,7 @@ from .susy import (build_hierarchy, check_interlacing, projection_shift_identity
 SCHEMA_VERSION = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAIL = 3
+MAX_LEVELS = 10**5  # cap of classify --levels, spectrum --count and diagram --levels
 # The library's errors for input outside its domain; any other exception is a fault.
 INPUT_ERRORS = (InadmissibleParams, ExistenceViolation, WindowViolation)
 # Bare `cext-osc` prints the help; click >= 8.2 raises that as a UsageError.
@@ -176,7 +177,7 @@ def main():
 
 @main.command()
 @param_options
-@click.option("--levels", "count", type=click.IntRange(min=1), default=30,
+@click.option("--levels", "count", type=click.IntRange(min=1, max=MAX_LEVELS), default=30,
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def classify(alpha0, alpha1, alphas, lam, count, fmt):
@@ -195,7 +196,7 @@ def classify(alpha0, alpha1, alphas, lam, count, fmt):
 
 @main.command()
 @param_options
-@click.option("--count", type=click.IntRange(min=1), default=12, show_default=True)
+@click.option("--count", type=click.IntRange(min=1, max=MAX_LEVELS), default=12, show_default=True)
 def spectrum(alpha0, alpha1, alphas, lam, count):
     """Print the level table: index, subspace, exact and float energy."""
     p = _collect_params(lam, alpha0, alpha1, alphas)
@@ -394,19 +395,21 @@ def render_svg(spec: DiagramSpec) -> str:
 def render_ascii(spec: DiagramSpec) -> str:
     energies = sorted({e for col in spec.columns for _, e in col}, reverse=True)
     colw = 10
+    # the first level index of each energy in each column, so each row is one lookup per column
+    firsts = [{} for _ in spec.columns]
+    for first, col in zip(firsts, spec.columns):
+        for idx, e in col:
+            first.setdefault(e, idx)
     lines = [" " * 10 + "".join(f"{name:^{colw}}" for name in spec.column_names)]
     for e in energies:
-        cells = []
-        for col in spec.columns:
-            hits = [idx for idx, ce in col if ce == e]
-            cells.append(f"--{hits[0]}--".center(colw) if hits else " " * colw)
+        cells = (f"--{first[e]}--".center(colw) if e in first else " " * colw for first in firsts)
         lines.append(f"{str(e):>9} " + "".join(cells).rstrip())
     return "\n".join(lines)
 
 
 @main.command()
 @param_options
-@click.option("--levels", "count", type=click.IntRange(min=1), default=18,
+@click.option("--levels", "count", type=click.IntRange(min=1, max=MAX_LEVELS), default=18,
               show_default=True, help="levels drawn per column")
 @click.option("--out", type=click.Path(), default=None, help="write SVG here")
 @click.option("--ascii", "ascii_mode", is_flag=True, help="print an ASCII diagram")

@@ -282,23 +282,59 @@ def order_key(p: AlgebraParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     every prefix length. Conversely, comparing each subspace with a lowest
     one, mu_0, recovers the key: q_mu + 1 levels of mu_0 lie at or below
     level mu, and the levels at quotient max q order and tie the r_mu.
+    In integers, with d the lcm of the betas' denominators and beta_lambda = 0:
+    G_mu = 2d e_mu = d (2 mu + 1) + d beta_mu + d beta_{mu+1}, and dividing G_mu - min G
+    by 2d lambda gives the same q, and r scaled by 2d, so the same ranks.
     """
-    lam = p.lam
-    ground = [p.energy(mu) for mu in range(lam)]
-    lo = min(ground)
-    q, r = zip(*(divmod(e - lo, lam) for e in ground))
+    d = math.lcm(*(b.denominator for b in p.betas))
+    db = [b.numerator * (d // b.denominator) for b in p.betas] + [0]
+    g = [d * (2 * mu + 1) + db[mu] + db[mu + 1] for mu in range(p.lam)]
+    lo = min(g)
+    q, r = zip(*(divmod(x - lo, 2 * d * p.lam) for x in g))
     rank = {v: i for i, v in enumerate(sorted(set(r)))}
     return q, tuple(rank[v] for v in r)
 
 
-@lru_cache(maxsize=512)
-def _label_key(t: SpectrumType) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return order_key(representative_params(t))
+# The lambda = 3 keys.  On the windows of one label, q - const is (0, n, n)
+# in family I, (0, m + n, n) in II and (n, m + n, 0) in III, and the ranks
+# are constant: each e_mu is affine in (m, n) with slopes in 3Z, and the
+# family fixes the lowest subspace.  Rows that share ranks differ in q at
+# every (m, n), so the decoder solves n and m from q in each row with the
+# key's ranks and keeps the one row that gives q back.
+_KEY_ROWS = {  # ranks: (family, variant, const) of each label with those ranks
+    (0, 1, 2): (("I", "1", (0, -1, -1)), ("II", "2", (0, -1, -1))),
+    (0, 2, 1): (("I", "2", (0, -1, 0)), ("II", "1", (0, -2, -1))),
+    (0, 0, 1): (("I", "a", (0, 0, 0)), ("II", "a", (0, -1, -1))),
+    (0, 1, 0): (("I", "b", (0, -1, 0)), ("II", "b", (0, -2, -1)), ("III", "b", (0, -1, 0))),
+    (0, 0, 0): (("I", "abc", (0, 0, 0)), ("II", "abc", (0, -1, -1)),
+                ("III", "abc", (0, 0, 0))),
+    (0, 1, 1): (("II", "c", (0, -2, -1)),), (1, 2, 0): (("III", "1", (-1, -2, 0)),),
+    (2, 1, 0): (("III", "2", (-1, -1, 0)),), (1, 1, 0): (("III", "a", (-1, -1, 0)),),
+    (1, 0, 0): (("III", "c", (-1, -1, 0)),),
+}
+
+
+def label_from_key(key: tuple[tuple[int, ...], tuple[int, ...]]) -> SpectrumType:
+    """The lambda=3 label whose windows have the order key ``key``.
+
+    A key that no admissible lambda=3 point has raises :class:`InvariantViolation`.
+    """
+    q, rank = key
+    for family, variant, const in _KEY_ROWS.get(tuple(rank), ()) if len(q) == 3 else ():
+        d = tuple(a - c for a, c in zip(q, const))
+        n = d[0] if family == "III" else d[2]
+        m = d[1] - n  # 0 in family I
+        shape = (n, m + n, 0) if family == "III" else (0, m + n, n)
+        if d == shape and n >= 1 and (m == 0 if family == "I" else m >= 1):
+            return SpectrumType(family, variant, n=n, m=m or None)
+    raise InvariantViolation(f"order key {key} is no lambda=3 label's")
 
 
 def oracle_agrees(p: AlgebraParams, t: SpectrumType) -> bool:
     """True iff the whole spectrum of ``p`` is ordered and tied as label ``t`` prescribes."""
-    return _label_key(t) == order_key(p)
+    if p.lam != 3:
+        raise UnsupportedLambda(f"named taxonomy requires lambda=3, got {p.lam}")
+    return label_from_key(order_key(p)) == t
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 import cext_osc
 from cext_osc import new_params
-from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, SCHEMA_VERSION, diagram_spec, main
+from cext_osc.cli import (EXIT_INVALID, EXIT_VERIFY_FAIL, SCHEMA_VERSION, diagram_spec, main,
+                          render_ascii)
 
 
 @pytest.fixture
@@ -80,6 +81,11 @@ def fresh_cli(args, script="from cext_osc.cli import main; main()", **kwargs):
     # susy memory is linear in K: a truncation above 10**6 is refused, not attempted
     (["susy", "--alpha0", "0", "--alpha1", "1/2", "--truncation", "1000001"], None),
     (["susy", "--alpha0", "0", "--alpha1", "1/2"], {"CEXT_OSC_DEFAULT_TRUNCATION": "1000001"}),
+    # level counts are capped at 10**5, where each command fits in bounded memory
+    (["classify", "--levels", "100001"], None),
+    (["spectrum", "--count", "100001"], None),
+    (["diagram", "--levels", "100001"], None),
+    (["diagram", "--levels", "100001", "--susy", "--ascii"], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
     # click's usage errors and the library's input errors end the same way
@@ -321,7 +327,53 @@ class TestSweep:
                                      "oracle_agrees": True}
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+@pytest.mark.parametrize("args", [
+    ["classify", "--levels", "100000"],
+    ["spectrum", "--count", "100000"],
+    ["diagram", "--levels", "100000", "--ascii"],
+    ["diagram", "--levels", "100000", "--susy"],
+], ids=" ".join)
+def test_level_cap_fits_in_bounded_memory(args):
+    # each command at its largest accepted level count finishes under a 1 GB address space
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = fresh_cli([*args, "--alpha0", "0", "--alpha1", "1/2"], preexec_fn=limit_address_space)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err[-2000:]
+    assert err == ""
+    assert out.count("\n") >= 100000
+
+
+def render_ascii_by_scan(spec):
+    """The ASCII diagram as first written: each row scans every level of every column."""
+    energies = sorted({e for col in spec.columns for _, e in col}, reverse=True)
+    colw = 10
+    lines = [" " * 10 + "".join(f"{name:^{colw}}" for name in spec.column_names)]
+    for e in energies:
+        cells = []
+        for col in spec.columns:
+            hits = [idx for idx, ce in col if ce == e]
+            cells.append(f"--{hits[0]}--".center(colw) if hits else " " * colw)
+        lines.append(f"{str(e):>9} " + "".join(cells).rstrip())
+    return "\n".join(lines)
+
+
 class TestDiagram:
+    @pytest.mark.parametrize("head,susy_mode", [
+        ([0, Fraction(1, 2)], False), ([0, 6], False), ([2, 8], False), ([10, 2], False),
+        ([14, -10], False), ([Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)], False),
+        # the hierarchy needs a point inside the SUSY window
+        ([0, Fraction(1, 2)], True), ([Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)], True),
+    ])
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_ascii_matches_the_scanning_renderer(self, head, susy_mode, count):
+        spec = diagram_spec(new_params(len(head) + 1, head), count, susy_mode)
+        assert render_ascii(spec) == render_ascii_by_scan(spec)
+
     def test_svg_output(self, runner, tmp_path):
         out = tmp_path / "d.svg"
         res = run(runner, "diagram", "--alpha0", "0", "--alpha1", "6",

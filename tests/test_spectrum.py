@@ -30,7 +30,7 @@ from cext_osc.spectrum import (
     DEG_VARIANTS,
     NONDEG_VARIANTS,
     InvariantViolation,
-    _label_key,
+    label_from_key,
     lowest_double_position,
     oracle_agrees,
     order_key,
@@ -104,6 +104,15 @@ def prefix_detect_period(p, count):
     return PeriodReport(omegas=tuple(spacings[:lam]),
                         ground_order=tuple(sorted(range(lam),
                                                   key=lambda mu: reference_energy(p, mu))))
+
+
+def reference_order_key(p):
+    """The order key in Fractions: divmod of the exact ground-level gaps by lambda."""
+    ground = [reference_energy(p, mu) for mu in range(p.lam)]
+    lo = min(ground)
+    q, r = zip(*(divmod(e - lo, p.lam) for e in ground))
+    rank = {v: i for i, v in enumerate(sorted(set(r)))}
+    return q, tuple(rank[v] for v in r)
 
 
 def reference_groups(p, count):
@@ -327,9 +336,9 @@ class TestOracleAgrees:
         def no_prefix(*args):
             raise AssertionError("the oracle read a spectrum prefix")
 
-        for name in ("classify_oracle", "degeneracy_pattern", "expected_prefix"):
+        for name in ("classify_oracle", "degeneracy_pattern", "expected_prefix",
+                     "representative_params"):
             monkeypatch.setattr(f"cext_osc.spectrum.{name}", no_prefix)
-        _label_key.cache_clear()
         p = params3(0, 60)
         assert oracle_agrees(p, SpectrumType("I", "1", n=11))
         assert not oracle_agrees(p, SpectrumType("I", "1", n=10))
@@ -367,6 +376,64 @@ class TestOrderKey:
         q, rank = order_key(p)
         periodic = period_or_none(detect_period, p, 30) is not None
         assert periodic == (set(q) == {0} and len(set(rank)) == p.lam), p.alphas
+
+    @given(admissible_params())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_key_matches_fraction_reference(self, p):
+        assert order_key(p) == reference_order_key(p), p.alphas
+
+    def test_integer_key_on_boundary_lines(self):
+        for a0, a1 in boundary_line_points():
+            p = params3(a0, a1)
+            assert order_key(p) == reference_order_key(p), (a0, a1)
+
+
+class TestLabelFromKey:
+    def test_inverts_every_label(self):
+        labels = variant_types(20)
+        assert len(labels) == 4900
+        for t in labels:
+            assert label_from_key(order_key(representative_params(t))) == t, t.label
+
+    def test_matches_classify3_on_random_points(self):
+        rng = random.Random(25)
+        for box in (30, 300):
+            for _ in range(1000):
+                p = random_admissible_params(rng, max_numer=box)
+                assert label_from_key(order_key(p)) == classify3(p), p.alphas
+
+    def test_matches_classify3_on_boundary_lines(self):
+        for a0, a1 in boundary_line_points():
+            p = params3(a0, a1)
+            assert label_from_key(order_key(p)) == classify3(p), (a0, a1)
+
+    @pytest.mark.parametrize("key", [
+        ((0, 1, 2), (0, 1, 2)),      # I.1 needs q_1 = q_2, II.2 needs q_2 < q_1
+        ((0, -1, -1), (0, 1, 2)),    # I.1 at n = 0
+        ((0, -1, 0), (0, 1, 1)),     # II.c at m = 0
+        ((1, 1, 1), (0, 0, 0)),      # no subspace is the lowest
+        ((0, 0, 0), (0, 1, 3)),      # ranks of no lambda=3 label
+        ((0, 0, 0), (1, 1, 1)),
+        ((0, 0, 0, 0), (0, 1, 2, 3)),  # a lambda=4 key
+        ((0, 0), (0, 1, 2)),
+    ])
+    def test_key_outside_image_raises(self, key):
+        with pytest.raises(InvariantViolation):
+            label_from_key(key)
+
+    @given(st.tuples(*[st.integers(min_value=-2, max_value=8)] * 3),
+           st.tuples(*[st.integers(min_value=0, max_value=2)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_decodes_only_keys_of_labels(self, q, rank):
+        try:
+            t = label_from_key((q, rank))
+        except InvariantViolation:
+            return
+        assert order_key(representative_params(t)) == (q, rank), t.label
+
+    def test_oracle_needs_lambda_3(self):
+        with pytest.raises(UnsupportedLambda):
+            oracle_agrees(new_params(4, [0, 0, 0]), SpectrumType("I", "1", n=1))
 
 
 class TestDegeneracyRules:

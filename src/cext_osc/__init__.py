@@ -9,6 +9,7 @@ from .algebra import (
     ExistenceViolation,
     InadmissibleParams,
     KappaPair,
+    Ladder,
     UnsupportedLambda,
     WindowViolation,
     alpha_to_kappa,

@@ -7,6 +7,7 @@ for degeneracy detection and region classification are decidable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +47,43 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _valid_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:  # a NaN fails this test too
+        raise InadmissibleParams(f"tol must be a finite number >= 0, got {tol}")
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """Levels L(lambda k + nu) = firsts[nu] + k * period, lambda = len(firsts); F is one."""
+
+    firsts: tuple[Fraction, ...]
+    period: Fraction
+
+    def at(self, n: int) -> Fraction:
+        k, nu = divmod(n, len(self.firsts))
+        return self.firsts[nu] + k * self.period
+
+    def floats(self, count: int) -> list[float]:
+        """float(at(n)) for n < count: int quotients over one denominator, correctly rounded."""
+        d = math.lcm(self.period.denominator, *(f.denominator for f in self.firsts))
+        nums, step, lam = [int(f * d) for f in self.firsts], int(self.period * d), len(self.firsts)
+        return [(nums[n % lam] + n // lam * step) / d for n in range(count)]
+
+    def gap(self, other: Ladder, cut: int) -> Fraction:
+        """Exact max |L(n) - other(n)| over n < cut; ``ValueError`` if the lengths differ."""
+        lam = len(self.firsts)
+        if len(other.firsts) != lam:  # the shorter would compare fewer residues, and pass
+            raise ValueError(f"ladders of {lam} and {len(other.firsts)} firsts")
+        if self == other:  # no Fraction arithmetic in the common, passing case
+            return Fraction(0)
+        # per residue nu the difference is affine in k: its max lies at k = 0 or at the last k
+        step, worst = self.period - other.period, Fraction(0)
+        for nu in range(min(lam, cut)):
+            diff = self.firsts[nu] - other.firsts[nu]
+            worst = max(worst, abs(diff), abs(diff + (cut - 1 - nu) // lam * step))
+        return worst
 
 
 @dataclass(frozen=True)
@@ -88,6 +126,10 @@ class AlgebraParams:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         return n + self.betas[n % self.lam]
+
+    def structure_ladder(self) -> Ladder:
+        """F as a ladder: firsts F(0), ..., F(lambda - 1), period lambda."""
+        return Ladder(tuple(mu + b for mu, b in enumerate(self.betas)), Fraction(self.lam))
 
     def g_function(self, n: int) -> Fraction:
         """G(n) = 1 + alpha_{n mod lambda}, the deformed commutator eigenvalue."""

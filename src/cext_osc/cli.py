@@ -120,13 +120,6 @@ def classification_report(p: AlgebraParams, count: int = 30) -> dict:
     return rep
 
 
-def _tolerance(ctx, param, value):
-    # written so that NaN fails too: every comparison with it is false
-    if not 0 <= value < math.inf:
-        raise click.BadParameter(f"{value} is not a finite number >= 0")
-    return value
-
-
 def param_options(fn):
     fn = click.option("--alpha0", default="0", show_default=True,
                       help="alpha_0 as an exact rational 'p/q'")(fn)
@@ -212,7 +205,8 @@ def spectrum(alpha0, alpha1, alphas, lam, count):
 @param_options
 @click.option("--truncation", "trunc", type=click.IntRange(max=10**6), default=60,
               envvar="CEXT_OSC_DEFAULT_TRUNCATION", help="matrix truncation K")
-@click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
+# projection_shift_identity refuses a tol outside [0, inf) before anything is printed
+@click.option("--tol", type=float, default=1e-12, show_default=True)
 def susy(alpha0, alpha1, alphas, lam, trunc, tol):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
     p = _collect_params(lam, alpha0, alpha1, alphas)
@@ -319,10 +313,7 @@ def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> 
     lam = p.lam
     if susy_mode:
         hier = build_hierarchy(p, max(count, 2 * lam))
-        cols = tuple(
-            tuple((n, hier.diagonals[mu][n]) for n in range(count))
-            for mu in range(lam + 1)
-        )
+        cols = tuple(tuple((n, m.at(n)) for n in range(count)) for m in hier.members)
         names = tuple(f"H({mu})" for mu in range(lam + 1))
     else:
         cols = tuple(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, InadmissibleParams
+from .algebra import AlgebraParams, InadmissibleParams, _valid_tol
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,13 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
     lam = p.lam
     if trunc < 2 * lam:
         raise InadmissibleParams(f"truncation {trunc} too small, need >= {2 * lam}")
-    sub = [math.sqrt(f) for f in _structure_floats(p, trunc)[1:]]
+    sub = [math.sqrt(f) for f in p.structure_ladder().floats(trunc)[1:]]
     a_dag = np.diag(sub, -1).astype(complex)
     a = a_dag.conj().T
     # exp(2 pi i n / lambda) depends on n mod lambda only; reducing first keeps
     # the argument small, so the phase carries no round-off that grows with n
     t = np.exp(2j * np.pi * (np.arange(trunc) % lam) / lam)
     return OperatorSet(params=p, trunc=trunc, a=a, a_dag=a_dag, t=t)
-
-
-def _structure_floats(p: AlgebraParams, count: int) -> list[float]:
-    """float(F(n)) for n < count as the int quotient (n d + d beta) / d, correctly rounded."""
-    d = math.lcm(*(b.denominator for b in p.betas))
-    nums = [int(b * d) for b in p.betas]
-    return [(n * d + nums[n % p.lam]) / d for n in range(count)]
 
 
 def _projector_sum(values, trunc: int) -> np.ndarray:
@@ -132,13 +125,14 @@ def verify_relations(ops: OperatorSet, p: AlgebraParams, tol: float = 1e-12) -> 
 
     The projector relations P_mu P_nu = delta_{mu nu} P_mu and sum P_mu = 1
     are not checked: P_mu is the indicator of n mod lambda = mu, so they
-    hold by construction and read no stored state.
+    hold by construction and read no stored state. A tol outside [0, inf) raises ValueError.
     """
+    _valid_tol(tol)
     lam, trunc = p.lam, ops.trunc
     cut = trunc - 1
     a, a_dag, t = ops.a, ops.a_dag, ops.t
     level = np.arange(trunc)
-    f = np.array(_structure_floats(p, trunc + 1))
+    f = np.array(p.structure_ladder().floats(trunc + 1))
     aat, ata = a @ a_dag, a_dag @ a
     res: dict[str, float] = {}
     res["number_ladder"] = _interior_max(level[:, None] * a_dag - a_dag * level - a_dag, cut)

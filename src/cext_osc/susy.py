@@ -9,12 +9,10 @@ superalgebra relations member by member, decided in integers by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
-from .algebra import AlgebraParams, InadmissibleParams, WindowViolation
+from .algebra import AlgebraParams, InadmissibleParams, Ladder, WindowViolation, _valid_tol
 
 
 def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
@@ -33,8 +31,8 @@ def cyclic_shift(p: AlgebraParams, mu: int) -> AlgebraParams:
 class SusyHierarchy:
     """The lambda+1 member Hamiltonians and the lambda shifted algebras, all exact.
 
-    ``diagonals[mu][n]`` is the exact eigenvalue F(n + mu) of the mu-th
-    member on level n, and ``shifted[mu]`` is ``cyclic_shift(base, mu)``.
+    ``members[mu]`` is the mu-th member's spectrum, the ladder n -> F(n + mu) of period
+    lambda, exact at every n; ``shifted[mu]`` is ``cyclic_shift(base, mu)``.
     The mu-th factorization is the 2 x 2 block system
     H = diag(H_mu, H_{mu+1}) - E_mu, Q = [[0, 0], [a, 0]], Q+ = [[0, a+], [0, 0]]
     with a, a+ the ladder of ``shifted[mu]`` and E_mu = ``ground_energies[mu]``.
@@ -44,15 +42,15 @@ class SusyHierarchy:
     base: AlgebraParams
     omegas: tuple[Fraction, ...]
     ground_energies: tuple[Fraction, ...]
-    diagonals: tuple[tuple[Fraction, ...], ...]
+    members: tuple[Ladder, ...]
     shifted: tuple[AlgebraParams, ...]
     trunc: int
 
     def __post_init__(self):
         # a missing or short member would make every check compare less, and pass
-        if not (self.trunc >= 2 * self.lam and len(self.diagonals) == self.lam + 1
-                and all(len(m) == self.trunc for m in self.diagonals)):
-            raise ValueError(f"need {self.lam + 1} members, each trunc >= {2 * self.lam} long")
+        if not (self.trunc >= 2 * self.lam and len(self.members) == self.lam + 1
+                and all(len(m.firsts) == self.lam for m in self.members)):
+            raise ValueError(f"need {self.lam + 1} members of lambda firsts, K >= {2 * self.lam}")
 
     @property
     def lam(self) -> int:
@@ -62,7 +60,7 @@ class SusyHierarchy:
 def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     """Assemble the hierarchy for a parameter point inside the SUSY window.
 
-    Member mu is the diagonal F(N + mu), a slice of one pass over n < K + lambda;
+    Member mu is the ladder F(N + mu), its firsts a slice of one pass over n < 2 lambda;
     with the shifted algebras this realizes the factorization chain whose mu-th
     ground energy is the partial spacing sum F(mu) = omega_0 + ... + omega_{mu-1},
     read from the same pass (F(lambda) = lambda). Raises :class:`WindowViolation`
@@ -75,37 +73,25 @@ def build_hierarchy(p: AlgebraParams, trunc: int = 60) -> SusyHierarchy:
     for mu, w in enumerate(omegas):
         if w <= 0:
             raise WindowViolation(f"omega_{mu} = {w} <= 0")
-    f = [p.structure_function(n) for n in range(trunc + lam)]
+    f = [p.structure_function(n) for n in range(2 * lam)]
     return SusyHierarchy(
         base=p, omegas=omegas, ground_energies=tuple(f[:lam + 1]),
-        diagonals=tuple(tuple(f[mu:mu + trunc]) for mu in range(lam + 1)),
+        members=tuple(Ladder(tuple(f[mu:mu + lam]), Fraction(lam)) for mu in range(lam + 1)),
         shifted=tuple(cyclic_shift(p, mu) for mu in range(lam)), trunc=trunc,
     )
-
-
-def _gap(member, firsts, period, cut: int) -> Fraction:
-    """Exact max |member[n] - L(n)| over n < cut, L(lambda k + nu) = firsts[nu] + k period.
-
-    L streams in integers over its own common denominator; an equal entry makes no Fraction.
-    """
-    d = math.lcm(period.denominator, *(f.denominator for f in firsts))
-    step = period.numerator * (d // period.denominator)
-    ints = [f.numerator * (d // f.denominator) for f in firsts]  # d * firsts, no Fraction built
-    ladder = (t + k * step for k in range(cut // len(ints) + 1) for t in ints)
-    return max((abs(v - Fraction(t, d)) for v, t in zip(islice(member, cut), ladder)
-                if v.numerator * d != t * v.denominator), default=Fraction(0))
 
 
 def _block_gap(h: SusyHierarchy, mu: int, j: int) -> Fraction:
     """Member mu + j against E_mu + F_q(n + j) on n < K - 1, q = ``shifted[mu]``."""
     q, ground = h.shifted[mu], h.ground_energies[mu]
-    return _gap(h.diagonals[mu + j], [ground + q.structure_function(nu + j)
-                                      for nu in range(q.lam)], q.lam, h.trunc - 1)
+    target = Ladder(tuple(ground + q.structure_function(nu + j) for nu in range(q.lam)), q.lam)
+    return h.members[mu + j].gap(target, h.trunc - 1)
 
 
 def superalgebra_gap(h: SusyHierarchy) -> Fraction:
     """Exact worst residual of {Q, Q+} = H over all members, on levels n < K - 1.
 
+    As K >= 2 lambda, that window spans every first and a period: a zero holds at every n.
     With q = ``shifted[mu]``, a+ a = F_q(N) and a a+ = F_q(N + 1), so it reads
     H_mu(n) = E_mu + F_q(n) and H_{mu+1}(n) = E_mu + F_q(n + 1), two ladders of
     period lambda. Both give H_{mu+1}(n) = H_mu(n + 1), so [H, Q] = 0 = [H, Q+];
@@ -116,12 +102,9 @@ def superalgebra_gap(h: SusyHierarchy) -> Fraction:
 
 def shift_flags(h: SusyHierarchy) -> tuple[bool, bool]:
     """Exactly: (last member == first + total spacing, cyclic_shift(shifted[-1], 1) == base)."""
-    w = sum(h.omegas, Fraction(0))
-    # x - y == w, cross-multiplied over the common denominator of x, y and w
-    shift_exact = all((x.numerator * y.denominator - y.numerator * x.denominator) * w.denominator
-                      == w.numerator * x.denominator * y.denominator
-                      for x, y in zip(h.diagonals[h.lam], h.diagonals[0]))
-    return shift_exact, cyclic_shift(h.shifted[-1], 1) == h.base
+    w, first = sum(h.omegas, Fraction(0)), h.members[0]
+    raised = Ladder(tuple(x + w for x in first.firsts), first.period)
+    return not h.members[h.lam].gap(raised, h.trunc), cyclic_shift(h.shifted[-1], 1) == h.base
 
 
 @dataclass(frozen=True)
@@ -161,15 +144,16 @@ def verify_sqm(h: SusyHierarchy, tol: float = 1e-12) -> SqmReport:
     as vectors, [H, Q] is ``lower[:, None] * a - a * upper`` and {Q, Q+} - H
     is a+ a - upper and a a+ - lower. Q has one nonzero block, below the
     diagonal, so Q Q and Q+ Q+ vanish block by block and their residuals are
-    exactly 0.0.
+    exactly 0.0. A tol outside [0, inf) raises ValueError.
     """
     import numpy as np
 
     from .fockrep import _interior_max, build_operators
 
+    _valid_tol(tol)
     lam, trunc = h.lam, h.trunc
     cut = trunc - 1
-    members = np.array(h.diagonals, dtype=float)
+    members = np.array([m.floats(trunc) for m in h.members])
     per_mu = []
     # second construction route: ladder products of the shifted algebras
     agreement = []
@@ -209,15 +193,15 @@ def check_interlacing(h: SusyHierarchy, count: int) -> bool:
     The n-th eigenvalue of member mu must equal k * Omega + E_nu, the partial
     spacing sum, where n + mu = lambda * k + nu: a ladder of period Omega = E_lambda
     as stored. The window that :func:`build_hierarchy` enforces makes each
-    member increase with n, so no sort is needed.
+    member increase with n, so no sort is needed. Above count lambda, True holds at every n.
     """
     lam, g = h.lam, h.ground_energies
     # a count below 1 would compare nothing and pass on any hierarchy
     if not 1 <= count <= h.trunc - lam:
         raise ValueError(f"count must be in 1..{h.trunc - lam}, got {count}")
     ladder = [*g[:lam], *(g[lam] + e for e in g[:lam])]  # its levels m < 2 lambda
-    return not any(_gap(member, ladder[mu:mu + lam], g[lam], count)
-                   for mu, member in enumerate(h.diagonals))
+    return not any(member.gap(Ladder(tuple(ladder[mu:mu + lam]), g[lam]), count)
+                   for mu, member in enumerate(h.members))
 
 
 def projection_shift_identity(h: SusyHierarchy, tol: float = 1e-12) -> bool:
@@ -227,17 +211,15 @@ def projection_shift_identity(h: SusyHierarchy, tol: float = 1e-12) -> bool:
     projector sum. As H0 = (F_q(N) + F_q(N + 1)) / 2, that is H0 - sum (1 + alpha_nu) P_nu / 2
     = F_q(N) exactly: the upper block of :func:`superalgebra_gap`. For lambda = 3 the rewrites
     in terms of H0 of ``shifted[0]``, the ladder with firsts E(nu), are checked as well; all
-    on levels n < K - 1, and a worst residual >= ``tol`` fails.
+    on levels n < K - 1; a worst residual >= ``tol`` fails, one outside [0, inf) raises.
     """
+    _valid_tol(tol)
     worst = max(_block_gap(h, mu, 0) for mu in range(h.lam))
     if h.lam == 3:
-        a, q = h.base.alphas, h.shifted[0]
-        combos = [
-            [-(1 + a[nu]) / 2 for nu in range(3)],
-            [(1 + a[nu]) / 2 for nu in range(3)],
-            [(3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)],
-        ]
-        worst = max(worst, *(_gap(h.diagonals[mu], [q.energy(nu) + c[nu] for nu in range(3)], 3,
-                                  h.trunc - 1) for mu, c in enumerate(combos)))
-    # the rule "fail when worst >= tol" as written: a NaN tol fails nothing
-    return not worst >= tol
+        a, e = h.base.alphas, [h.shifted[0].energy(nu) for nu in range(3)]
+        rewrites = [[e[nu] - (1 + a[nu]) / 2 for nu in range(3)],
+                    [e[nu] + (1 + a[nu]) / 2 for nu in range(3)],
+                    [e[nu] + (3 + a[(nu + 1) % 3] - a[(nu + 2) % 3]) / 2 for nu in range(3)]]
+        worst = max(worst, *(h.members[mu].gap(Ladder(tuple(r), 3), h.trunc - 1)
+                             for mu, r in enumerate(rewrites)))
+    return worst < tol

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -42,6 +44,20 @@ def reference_energy(p, n):
     mu = n % p.lam
     upper = p.betas[mu + 1] if mu + 1 < p.lam else 0
     return n + Fraction(1, 2) + (p.betas[mu] + upper) / 2
+
+
+def streaming_gap(member, firsts, period, cut):
+    """Exact max |member[n] - L(n)| over n < cut, L(lambda k + nu) = firsts[nu] + k period.
+
+    The reference for ``Ladder.gap``: it reads ``member`` level by level and streams L in
+    integers over L's own common denominator; an equal entry makes no Fraction.
+    """
+    d = math.lcm(period.denominator, *(f.denominator for f in firsts))
+    step = period.numerator * (d // period.denominator)
+    ints = [f.numerator * (d // f.denominator) for f in firsts]  # d * firsts, no Fraction built
+    ladder = (t + k * step for k in range(cut // len(ints) + 1) for t in ints)
+    return max((abs(v - Fraction(t, d)) for v, t in zip(islice(member, cut), ladder)
+                if v.numerator * d != t * v.denominator), default=Fraction(0))
 
 
 def ladder_h0(ops):

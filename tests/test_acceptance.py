@@ -74,9 +74,9 @@ def test_criterion_2_hierarchy_worked_example():
     ok = (h.ground_energies == (0, 1, Fraction(5, 2), 3)
           and h.omegas == (1, Fraction(3, 2), Fraction(1, 2)))
     for mu in range(4):
-        d = h.diagonals[mu]
+        d = h.members[mu]
         ok = ok and all(
-            d[n + 1] - d[n] == h.omegas[(n + mu) % 3] for n in range(30))
+            d.at(n + 1) - d.at(n) == h.omegas[(n + mu) % 3] for n in range(30))
     report("2 hierarchy worked example (grounds 0,1,5/2,3; spacings 1,3/2,1/2)", ok)
 
 

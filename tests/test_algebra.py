@@ -12,6 +12,7 @@ from cext_osc import (
     ExistenceViolation,
     InadmissibleParams,
     KappaPair,
+    Ladder,
     UnsupportedLambda,
     alpha_to_kappa,
     kappa_to_alpha,
@@ -19,7 +20,7 @@ from cext_osc import (
 )
 from cext_osc.algebra import parse_rational
 
-from conftest import params3, reference_energy
+from conftest import params3, reference_energy, streaming_gap
 
 
 def iterate_structure(alphas, n):
@@ -168,6 +169,57 @@ class TestStructureFunction:
         assert p.structure_function(0) == 0
         assert p.structure_function(n + 1) - p.structure_function(n) == p.g_function(n)
         assert p.structure_function(n) == iterate_structure(p.alphas, n)
+
+
+@st.composite
+def ladder_pairs(draw):
+    """Two ladders of one length lambda = 1..7, the second with moved firsts and maybe period."""
+    lam = draw(st.integers(1, 7))
+    value = st.fractions(-20, 20, max_denominator=12)
+    firsts = draw(st.lists(value, min_size=lam, max_size=lam))
+    period = draw(value)
+    others = list(firsts)
+    for nu in draw(st.lists(st.integers(0, lam - 1), max_size=lam)):
+        others[nu] += draw(value)
+    other_period = period + draw(st.sampled_from([0, 0, Fraction(1, 7), -3]) | value)
+    cut = draw(st.integers(1, 3 * lam + 5))
+    return Ladder(tuple(firsts), period), Ladder(tuple(others), other_period), cut
+
+
+class TestLadder:
+    @given(ladder_pairs())
+    def test_gap_is_the_streamed_max(self, pair):
+        # the levels of the first ladder, written out without Ladder.at
+        one, other, cut = pair
+        lam = len(one.firsts)
+        member = [one.firsts[n % lam] + n // lam * one.period for n in range(cut)]
+        want = streaming_gap(member, other.firsts, other.period, cut)
+        assert one.gap(other, cut) == want == other.gap(one, cut)
+        assert type(one.gap(other, cut)) is Fraction
+
+    def test_equal_firsts_other_period(self):
+        # residue 0 reads k = 0, 1, 2 below cut 5, residue 1 reads k = 0, 1
+        assert Ladder((0, 1), 2).gap(Ladder((0, 1), 3), 5) == 2
+        assert Ladder((0, 1), 2).gap(Ladder((0, 1), 2), 5) == 0
+
+    def test_cut_below_lambda_reads_fewer_residues(self):
+        one, other = Ladder((0, 1, 2), 3), Ladder((0, 1, 7), 3)
+        assert one.gap(other, 2) == 0 and one.gap(other, 3) == 5
+
+    @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (3, 0)])
+    def test_lengths_must_agree(self, lengths):
+        # the shorter ladder would compare fewer residues, and pass
+        one, other = (Ladder((Fraction(0),) * n, Fraction(2)) for n in lengths)
+        with pytest.raises(ValueError, match="ladders of"):
+            one.gap(other, 10)
+
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_structure_ladder_is_f(self, lam):
+        p = new_params(lam, [Fraction(mu, lam + 1) - Fraction(1, 3) for mu in range(lam - 1)])
+        ladder = p.structure_ladder()
+        assert ladder.period == lam and len(ladder.firsts) == lam
+        assert [ladder.at(n) for n in range(5 * lam)] == [
+            p.structure_function(n) for n in range(5 * lam)]
 
 
 class TestGammaAndEnergy:

@@ -78,7 +78,7 @@ def fresh_cli(args, script="from cext_osc.cli import main; main()", **kwargs):
     (["sweep", "--grid", "0:1:1,0:1:0"], None),
     (["sweep", "--grid", "0:1:1,0:x:1"], None),
     (["sweep", "--grid", "0:1:1,0:1:1", "--random", "5"], None),
-    # susy memory is linear in K: a truncation above 10**6 is refused, not attempted
+    # a truncation above 10**6 is refused: the cap is an input bound, not a cost bound
     (["susy", "--alpha0", "0", "--alpha1", "1/2", "--truncation", "1000001"], None),
     (["susy", "--alpha0", "0", "--alpha1", "1/2"], {"CEXT_OSC_DEFAULT_TRUNCATION": "1000001"}),
     # level counts are capped at 10**5, where each command fits in bounded memory

@@ -12,7 +12,6 @@ from cext_osc import (
     new_params,
     projection_shift_identity,
 )
-from cext_osc import fockrep
 from cext_osc.fockrep import (
     build_operators,
     log_normalization_constant_gamma,
@@ -30,7 +29,7 @@ class TestBuildOperators:
     def test_structure_floats_are_the_rounded_rationals(self, rng, lam):
         for _ in range(20):
             p = random_admissible_params(rng, lam=lam, max_numer=40)
-            floats = fockrep._structure_floats(p, 300)
+            floats = p.structure_ladder().floats(300)
             assert floats == [float(p.structure_function(n)) for n in range(300)]
 
     def test_undeformed_subdiagonal(self):

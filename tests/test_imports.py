@@ -106,19 +106,30 @@ def test_exact_command_runs_without_numpy(args, in_process):
     assert stdout == in_process(args)
 
 
+def limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
 def test_large_truncation_fits_in_bounded_memory():
     # dense K x K matrices at K = 20000 need about 3 GiB; the exact checks need little
-    import resource
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     proc = python("-c", RUN_CLI, "allow", "susy", "--alpha0", "0", "--alpha1", "1/2",
                   "--truncation", "20000", preexec_fn=limit_address_space)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["susy"]["relations_pass"] is True
     assert proc.stderr.splitlines() == ["False"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+def test_large_lambda_fits_in_bounded_memory():
+    # lambda + 1 members of K levels each would not fit; as ladders they hold lambda firsts each
+    alphas = [f"--alpha={'-' if mu % 2 else ''}1/2" for mu in range(149)]
+    proc = python("-c", RUN_CLI, "allow", "susy", "--lambda", "150", *alphas,
+                  "--truncation", "1000000", preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["susy"]["relations_pass"] is True
 
 
 def test_susy_outside_window_is_one_error_line():

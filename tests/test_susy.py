@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cext_osc import (
     ExistenceViolation,
+    Ladder,
     WindowViolation,
     build_hierarchy,
     check_interlacing,
@@ -18,14 +20,28 @@ from cext_osc import (
     verify_sqm,
 )
 from cext_osc import fockrep
-from cext_osc.fockrep import build_operators
-from conftest import ladder_h0, params3, random_susy_params
+from cext_osc.fockrep import build_operators, verify_relations
+from conftest import ladder_h0, params3, random_susy_params, streaming_gap
 
 TOL = 1e-12
 
 
 def susy_point(rng, lam=3):
     return random_susy_params(rng, lam=lam)
+
+
+def moved(h, mu, delta, nu=None):
+    """h with member mu's first nu moved by delta, or its period when nu is None."""
+    m = h.members[mu]
+    if nu is None:
+        member = Ladder(m.firsts, m.period + delta)
+    else:
+        member = Ladder((*m.firsts[:nu], m.firsts[nu] + delta, *m.firsts[nu + 1:]), m.period)
+    return dataclasses.replace(h, members=(*h.members[:mu], member, *h.members[mu + 1:]))
+
+
+def levels(member, count):
+    return tuple(member.at(n) for n in range(count))
 
 
 class TestCyclicShift:
@@ -62,7 +78,7 @@ class TestBuildHierarchy:
     def test_harmonic_diagonals(self):
         h = build_hierarchy(new_params(3, [0, 0]), trunc=10)
         for mu in range(4):
-            assert h.diagonals[mu][:4] == (mu, mu + 1, mu + 2, mu + 3)
+            assert levels(h.members[mu], 4) == (mu, mu + 1, mu + 2, mu + 3)
 
     def test_window_violation(self):
         with pytest.raises(WindowViolation):
@@ -72,11 +88,12 @@ class TestBuildHierarchy:
         p = susy_point(rng, lam=4)
         h = build_hierarchy(p, trunc=20)
         assert [f.name for f in dataclasses.fields(h)] == [
-            "base", "omegas", "ground_energies", "diagonals", "shifted", "trunc"]
+            "base", "omegas", "ground_energies", "members", "shifted", "trunc"]
         assert h.shifted == tuple(cyclic_shift(p, mu) for mu in range(4))
-        assert all(len(d) == 20 for d in h.diagonals)
-        assert h.diagonals == tuple(
-            tuple(p.structure_function(n + mu) for n in range(20)) for mu in range(5))
+        assert h.members == tuple(
+            Ladder(tuple(p.structure_function(nu + mu) for nu in range(4)), 4) for mu in range(5))
+        assert all(levels(m, 40) == tuple(p.structure_function(n + mu) for n in range(40))
+                   for mu, m in enumerate(h.members))
 
     def test_last_equals_first_plus_period(self, rng):
         for _ in range(5):
@@ -84,7 +101,7 @@ class TestBuildHierarchy:
             h = build_hierarchy(p, trunc=20)
             lam = p.lam
             assert all(
-                h.diagonals[lam][n] == h.diagonals[0][n] + lam
+                h.members[lam].at(n) == h.members[0].at(n) + lam
                 for n in range(20))
 
 
@@ -92,16 +109,16 @@ class TestMalformedHierarchy:
     """A hierarchy whose members cannot be compared is refused, never passed."""
 
     @pytest.mark.parametrize("change", [
-        lambda h: {"diagonals": ((),) * 4},
+        lambda h: {"members": (Ladder((), 3),) * 4},
         lambda h: {"trunc": 1},
-        lambda h: {"trunc": 21},
-        lambda h: {"trunc": 5, "diagonals": tuple(m[:5] for m in h.diagonals)},
-        lambda h: {"diagonals": h.diagonals[:-1]},
-        lambda h: {"diagonals": (h.diagonals[0][:-1], *h.diagonals[1:])},
+        lambda h: {"members": tuple(Ladder(m.firsts[:-1], m.period) for m in h.members)},
+        lambda h: {"trunc": 5},
+        lambda h: {"members": h.members[:-1]},
+        lambda h: {"members": (Ladder(h.members[0].firsts[:-1], 3), *h.members[1:])},
     ], ids=["empty-members", "trunc-1", "members-too-short", "trunc-below-2-lambda",
             "member-missing", "member-one-short"])
     def test_shape_is_checked(self, change):
-        # unchecked, an empty or one-level hierarchy would pass every exact check and flag
+        # unchecked, an empty or short member would pass every exact check and flag
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
         with pytest.raises(ValueError, match="need 4 members"):
             dataclasses.replace(h, **change(h))
@@ -120,7 +137,7 @@ def dense_reference(h):
     def masked_max(m):
         return float(np.max(np.abs(m[np.ix_(keep, keep)])))
 
-    dense = [np.diag([float(v) for v in d]).astype(complex) for d in h.diagonals]
+    dense = [np.diag([float(v) for v in levels(m, k)]).astype(complex) for m in h.members]
     ops = [build_operators(q, k) for q in h.shifted]
     per_mu = []
     for mu in range(h.lam):
@@ -182,10 +199,7 @@ class TestVerifySqm:
     def test_corrupted_member_fails(self, rng, lam):
         h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
         assert verify_sqm(h).all_pass and projection_shift_identity(h, tol=TOL)
-        member = list(h.diagonals[1])
-        member[5] += Fraction(1, 1000)
-        diagonals = (h.diagonals[0], tuple(member), *h.diagonals[2:])
-        bad = dataclasses.replace(h, diagonals=diagonals)
+        bad = moved(h, 1, Fraction(1, 1000), nu=5 % lam)
         assert not verify_sqm(bad).all_pass
         assert not projection_shift_identity(bad, tol=TOL)
 
@@ -207,12 +221,10 @@ class TestVerifySqm:
 
     @pytest.mark.parametrize("lam", [2, 3, 5])
     def test_broken_hierarchy_shift_fails(self, rng, lam):
-        # the last level lies outside the float checks' window: only the exact shift sees it
+        # the last member one period step off: the exact shift sees it at its second level
         h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
         assert verify_sqm(h).hierarchy_shift_exact
-        last = list(h.diagonals[lam])
-        last[-1] += Fraction(1, 1000)
-        rep = verify_sqm(dataclasses.replace(h, diagonals=(*h.diagonals[:lam], tuple(last))))
+        rep = verify_sqm(moved(h, lam, Fraction(1, 1000)))
         assert not rep.hierarchy_shift_exact and not rep.all_pass
 
     @pytest.mark.parametrize("lam", [2, 3, 4, 5])
@@ -237,14 +249,27 @@ class TestSuperalgebraGap:
         for _ in range(5):
             h = build_hierarchy(susy_point(rng, lam=lam), trunc=trunc)
             assert superalgebra_gap(h) == 0 and verify_sqm(h).all_pass
-            # any member, any level that both checks read
-            mu, n = rng.randrange(lam + 1), rng.randrange(trunc - 1)
-            member = list(h.diagonals[mu])
-            member[n] += Fraction(1, 1000) * rng.choice([1, -1])
-            bad = dataclasses.replace(
-                h, diagonals=(*h.diagonals[:mu], tuple(member), *h.diagonals[mu + 1:]))
-            assert superalgebra_gap(bad) == Fraction(1, 1000), (mu, n)
-            assert not verify_sqm(bad).all_pass, (mu, n)
+            # any member, any first: it moves every level n = nu mod lambda
+            mu, nu = rng.randrange(lam + 1), rng.randrange(lam)
+            bad = moved(h, mu, Fraction(1, 1000) * rng.choice([1, -1]), nu)
+            assert superalgebra_gap(bad) == Fraction(1, 1000), (mu, nu)
+            assert not verify_sqm(bad).all_pass, (mu, nu)
+
+    @pytest.mark.parametrize("trunc", [40, 120])
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_moved_period_is_the_closed_form_gap(self, rng, lam, trunc):
+        # levels n < K - 1 are read, so residue 0 drifts furthest: delta * floor((K - 2) / lambda)
+        for _ in range(5):
+            h = build_hierarchy(susy_point(rng, lam=lam), trunc=trunc)
+            mu = rng.randrange(lam + 1)
+            delta = Fraction(rng.randint(1, 999), 1000) * rng.choice([1, -1])
+            bad = moved(h, mu, delta)
+            want = abs(delta) * ((trunc - 2) // lam)
+            assert superalgebra_gap(bad) == want, mu
+            clean = h.members[mu]
+            assert streaming_gap(levels(bad.members[mu], trunc), clean.firsts, clean.period,
+                                 trunc - 1) == want
+            assert not verify_sqm(bad).all_pass
 
     @pytest.mark.parametrize("lam", range(2, 8))
     def test_moved_ground_energy_fails(self, rng, lam):
@@ -265,27 +290,19 @@ class TestSuperalgebraGap:
         assert shift_flags(bad) == (True, False)
         assert not verify_sqm(bad).shift_periodic and not verify_sqm(bad).all_pass
 
-    def test_last_level_is_outside_the_window(self):
-        # the truncation row: a+ a and a a+ are cut there, so neither check reads it
-        h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
-        member = list(h.diagonals[1])
-        member[-1] += 1
-        bad = dataclasses.replace(h, diagonals=(h.diagonals[0], tuple(member), *h.diagonals[2:]))
-        assert superalgebra_gap(bad) == 0 and verify_sqm(bad).max_residual < TOL
-
 
 class TestInterlacing:
     def test_worked_example(self):
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=30)
         assert check_interlacing(h, 20)
-        assert h.diagonals[0][:7] == (
+        assert levels(h.members[0], 7) == (
             0, 1, Fraction(5, 2), 3, 4, Fraction(11, 2), 6)
 
     def test_asymmetric_spacings(self):
         h = build_hierarchy(new_params(3, [1, Fraction(-1, 2)]), trunc=30)
         assert h.omegas == (2, Fraction(1, 2), Fraction(1, 2))
         assert check_interlacing(h, 20)
-        assert h.diagonals[0][:4] == (0, 2, Fraction(5, 2), 3)
+        assert levels(h.members[0], 4) == (0, 2, Fraction(5, 2), 3)
 
     def test_random(self, rng):
         for lam in (2, 3, 4):
@@ -316,17 +333,17 @@ class TestInterlacing:
             assert not check_interlacing(bad, 24 - lam), delta
             assert superalgebra_gap(bad) == 0 and projection_shift_identity(bad)
             # members that follow the ladder of the moved period pass again
-            ladder = [m // lam * g[lam] + g[m % lam] for m in range(24 + lam)]
-            members = tuple(tuple(ladder[mu:mu + 24]) for mu in range(lam + 1))
-            assert check_interlacing(dataclasses.replace(bad, diagonals=members), 24 - lam)
+            ladder = [m // lam * g[lam] + g[m % lam] for m in range(2 * lam)]
+            members = tuple(Ladder(tuple(ladder[mu:mu + lam]), g[lam]) for mu in range(lam + 1))
+            assert check_interlacing(dataclasses.replace(bad, members=members), 24 - lam)
 
     def test_swapped_levels_fail(self):
         # the same values in another order: eigenvalue n is no longer level n
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=30)
-        member = list(h.diagonals[1])
-        member[4], member[5] = member[5], member[4]
-        diagonals = (h.diagonals[0], tuple(member), *h.diagonals[2:])
-        assert not check_interlacing(dataclasses.replace(h, diagonals=diagonals), 20)
+        firsts = h.members[1].firsts
+        swapped = Ladder((firsts[0], firsts[2], firsts[1]), 3)
+        members = (h.members[0], swapped, *h.members[2:])
+        assert not check_interlacing(dataclasses.replace(h, members=members), 20)
 
 
 class TestProjectionShiftIdentity:
@@ -348,10 +365,7 @@ class TestProjectionShiftIdentity:
     @pytest.mark.parametrize("lam", [2, 3, 5])
     def test_shifted_diagonal_entry_fails(self, rng, lam):
         h = build_hierarchy(susy_point(rng, lam=lam), trunc=20)
-        member = list(h.diagonals[lam - 1])
-        member[4] += Fraction(1, 1000)
-        diagonals = (*h.diagonals[:lam - 1], tuple(member), h.diagonals[lam])
-        assert not projection_shift_identity(dataclasses.replace(h, diagonals=diagonals))
+        assert not projection_shift_identity(moved(h, lam - 1, Fraction(1, 1000), nu=4 % lam))
 
     @pytest.mark.parametrize("lam", [2, 3, 5])
     def test_wrong_ground_energy_fails(self, rng, lam):
@@ -383,9 +397,7 @@ class TestProjectionShiftIdentity:
         h = build_hierarchy(new_params(3, [0, Fraction(1, 2)]), trunc=20)
         assert projection_shift_identity(h, tol=1e-300)
         assert not projection_shift_identity(h, tol=0)
-        member = list(h.diagonals[1])
-        member[3] += Fraction(1, 8)
-        bad = dataclasses.replace(h, diagonals=(h.diagonals[0], tuple(member), *h.diagonals[2:]))
+        bad = moved(h, 1, Fraction(1, 8), nu=0)
         assert projection_shift_identity(bad, tol=0.126)
         assert not projection_shift_identity(bad, tol=0.125)
 
@@ -394,14 +406,14 @@ def reference_interlacing(h, count):
     """check_interlacing as Fraction arithmetic, one level at a time."""
     lam, ground = h.lam, h.ground_energies
     return all(
-        h.diagonals[mu][n] == (n + mu) // lam * ground[lam] + ground[(n + mu) % lam]
+        h.members[mu].at(n) == (n + mu) // lam * ground[lam] + ground[(n + mu) % lam]
         for mu in range(lam + 1) for n in range(count))
 
 
 def reference_projection(h, tol=TOL):
     """projection_shift_identity in floats, with H0 read off the ladder products."""
     lam, k = h.lam, h.trunc
-    members = np.array(h.diagonals, dtype=float)
+    members = np.array([[float(v) for v in levels(m, k)] for m in h.members])
     level = np.arange(k) % lam
     h0 = [ladder_h0(build_operators(q, k)) for q in h.shifted]
 
@@ -435,13 +447,11 @@ def corrupted_hierarchies(draw):
     h = build_hierarchy(p, trunc)
     delta = draw(st.fractions(Fraction(1, 1000), 2, max_denominator=1000)) * draw(
         st.sampled_from([1, -1]))
-    kind = draw(st.sampled_from(["clean", "diagonal", "ground", "shifted"]))
-    if kind == "diagonal":
-        mu, n = draw(st.integers(0, lam)), draw(st.integers(0, trunc - 1))
-        member = list(h.diagonals[mu])
-        member[n] += delta
-        h = dataclasses.replace(
-            h, diagonals=(*h.diagonals[:mu], tuple(member), *h.diagonals[mu + 1:]))
+    kind = draw(st.sampled_from(["clean", "first", "period", "ground", "shifted"]))
+    if kind == "first":
+        h = moved(h, draw(st.integers(0, lam)), delta, draw(st.integers(0, lam - 1)))
+    elif kind == "period":
+        h = moved(h, draw(st.integers(0, lam)), delta)
     elif kind == "ground":
         mu = draw(st.integers(0, lam))
         ground = list(h.ground_energies)
@@ -473,3 +483,40 @@ class TestExactChecksMatchReferences:
         ground[1] += Fraction(1, 100)
         bad = dataclasses.replace(h, ground_energies=tuple(ground))
         assert not reference_interlacing(bad, 24 - lam) and not reference_projection(bad)
+
+
+class TestVerdictsHoldForAllN:
+    """Each member is a ladder, so every verdict reads the same at K = 2 lambda and beyond."""
+
+    @staticmethod
+    def verdicts(h, trunc):
+        h = dataclasses.replace(h, trunc=trunc)
+        return (superalgebra_gap(h), shift_flags(h), check_interlacing(h, trunc - h.lam),
+                projection_shift_identity(h))
+
+    @pytest.mark.parametrize("lam", range(2, 8))
+    def test_same_verdicts_at_every_truncation(self, rng, lam):
+        for _ in range(3):
+            p = susy_point(rng, lam=lam)
+            assert build_hierarchy(p, 10**12).members == build_hierarchy(p, 2 * lam).members
+            h = build_hierarchy(p, 2 * lam)
+            bad = moved(h, rng.randrange(lam + 1), Fraction(1, 1000), rng.randrange(lam))
+            for hier in (h, bad):
+                want = self.verdicts(hier, 2 * lam)
+                assert all(self.verdicts(hier, k) == want for k in (10**6, 10**12))
+            assert self.verdicts(h, 2 * lam) == (0, (True, True), True, True)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1])
+@pytest.mark.parametrize("check", ["verify_relations", "verify_sqm", "projection_shift_identity"])
+def test_tol_must_be_finite_and_not_negative(check, tol):
+    # a NaN or infinite tol would pass corrupted data, and a negative one fail everything
+    p = new_params(3, [0, Fraction(1, 2)])
+    h = build_hierarchy(p, trunc=12)
+    call = {
+        "verify_relations": lambda: verify_relations(build_operators(p, 12), p, tol=tol),
+        "verify_sqm": lambda: verify_sqm(h, tol=tol),
+        "projection_shift_identity": lambda: projection_shift_identity(h, tol=tol),
+    }[check]
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        call()

@@ -61,6 +61,10 @@ class Ladder:
     firsts: tuple[Fraction, ...]
     period: Fraction
 
+    def __post_init__(self):
+        if not self.firsts:  # lambda = 0: at() would divide by zero and gap() compare nothing
+            raise ValueError("a ladder needs at least one first value")
+
     def at(self, n: int) -> Fraction:
         k, nu = divmod(n, len(self.firsts))
         return self.firsts[nu] + k * self.period
@@ -90,12 +94,13 @@ class Ladder:
 class AlgebraParams:
     """Parameter vector (alpha_0, ..., alpha_{lambda-1}) with zero sum.
 
-    ``alphas`` is the only stored state: ``lam`` is its length and
-    ``betas[mu]`` the partial sum ``alpha_0 + ... + alpha_{mu-1}`` (so
-    ``betas[0] = 0``), both derived on first use; the structure function is
-    ``F(n) = n + betas[n % lam]``.  Use :func:`new_params` to build from the
-    independent head parameters.  Entries follow :func:`new_params`'s rule
-    and are stored as a tuple of ``Fraction``; a float or bool raises ``TypeError``.
+    ``alphas`` is the only stored state: ``lam`` is its length, ``betas[mu]``
+    the partial sum ``alpha_0 + ... + alpha_{mu-1}`` (so ``betas[0] = 0``) and
+    ``integer_form`` the alphas over one denominator, all derived on first use;
+    the structure function is ``F(n) = n + betas[n % lam]``.  Use
+    :func:`new_params` to build from the independent head parameters.  Entries
+    follow :func:`new_params`'s rule and are stored as a tuple of ``Fraction``;
+    a float or bool raises ``TypeError``.
     """
 
     alphas: tuple[Fraction, ...]
@@ -104,12 +109,14 @@ class AlgebraParams:
         object.__setattr__(self, "alphas", tuple(map(_as_fraction, self.alphas)))
         if self.lam < 2:
             raise InadmissibleParams(f"lambda must be >= 2, got {self.lam}")
-        if sum(self.alphas) != 0:
+        d, nums = self.integer_form
+        if sum(nums) != 0:
             raise InadmissibleParams(f"sum of alphas must vanish, got {sum(self.alphas)}")
+        partial = 0  # d * beta_mu
         for mu in range(1, self.lam):
-            f = mu + self.betas[mu]
-            if f <= 0:
-                raise ExistenceViolation(mu, f)
+            partial += nums[mu - 1]
+            if mu * d + partial <= 0:  # d * F(mu) <= 0
+                raise ExistenceViolation(mu, mu + Fraction(partial, d))
 
     @cached_property
     def lam(self) -> int:
@@ -117,9 +124,16 @@ class AlgebraParams:
         return len(self.alphas)
 
     @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(d, (d alpha_0, ..., d alpha_{lambda-1})), d the lcm of the alphas' denominators."""
+        d = math.lcm(*(a.denominator for a in self.alphas))
+        return d, tuple(a.numerator * (d // a.denominator) for a in self.alphas)
+
+    @cached_property
     def betas(self) -> tuple[Fraction, ...]:
         """Partial sums beta_mu = alpha_0 + ... + alpha_{mu-1}, mu < lambda."""
-        return tuple(accumulate(self.alphas[:-1], initial=Fraction(0)))
+        d, nums = self.integer_form
+        return tuple(Fraction(b, d) for b in accumulate(nums[:-1], initial=0))
 
     def structure_function(self, n: int) -> Fraction:
         """F(n) = n + beta_{n mod lambda}; solves F(n+1) - F(n) = G(n), F(0) = 0."""

@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .algebra import AlgebraParams, UnsupportedLambda, new_params
+from .algebra import AlgebraParams, InadmissibleParams, UnsupportedLambda, new_params
 
 NONDEG_VARIANTS = ("1", "2")
 DEG_VARIANTS = ("a", "b", "c", "abc")
@@ -157,49 +158,48 @@ def classify3(p: AlgebraParams) -> SpectrumType:
     """
     if p.lam != 3:
         raise UnsupportedLambda(f"named taxonomy requires lambda=3, got {p.lam}")
-    a0, a1 = p.alphas[0], p.alphas[1]
+    # every window line is a0 or a1 against a multiple of 6 plus an even integer:
+    # decide each on A = d a0, B = d a1, and ceil, floor and "is an integer" by divmod by 6d
+    d, (A, B, _) = p.integer_form
+    six = 6 * d
 
-    if a0 < 2:
+    if A < 2 * d:
         # class I: E0 < E1 < E2. The n-th cell is 6n - a0 - 8 < a1 <= 6n - a0 - 2.
-        n = math.ceil((a0 + a1 + 2) / 6)
+        n = -(-(A + B + 2 * d) // six)
         _invariant(n >= 1, "class I: index n < 1")
-        if a1 == 6 * n - a0 - 2:
+        if B == (6 * n - 2) * d - A:
             return SpectrumType("I", "a", n=n)
-        if a1 == 6 * n - 4:
+        if B == (6 * n - 4) * d:
             return SpectrumType("I", "b", n=n)
-        return SpectrumType("I", "1" if a1 < 6 * n - 4 else "2", n=n)
+        return SpectrumType("I", "1" if B < (6 * n - 4) * d else "2", n=n)
 
-    if a1 >= -4:
+    if B >= -4 * d:
         # class II plus its feeding boundary lines (a0 = 2 and a1 = -4).
         # Columns a0 = 6c + 2 host the c-types (m = c + 1) and, jointly with
         # rows a1 = 6r - 10, the triply-degenerate points.
-        col = (a0 - 2) / 6
-        row = (a1 + 10) / 6
-        if col.denominator == 1 and row.denominator == 1:
-            c, r = int(col), int(row)
+        c, off_col = divmod(A - 2 * d, six)
+        r, off_row = divmod(B + 10 * d, six)
+        if not off_col and not off_row:
             if c == 0:
                 _invariant(r >= 2, "I.abc: index n < 1")
                 return SpectrumType("I", "abc", n=r - 1)
             return SpectrumType("II", "abc", m=c, n=r)
-        if col.denominator == 1:
-            return SpectrumType("II", "c", m=int(col) + 1, n=math.floor(row))
-        m = math.floor((a0 + 4) / 6)
-        if row.denominator == 1:
-            return SpectrumType("II", "b", m=m, n=int(row))
-        n = math.floor(row)
-        a_line = 6 * m + 6 * n - a0 - 8
-        if a1 == a_line:
-            return SpectrumType("II", "a", m=m, n=n)
-        return SpectrumType("II", "1" if a1 < a_line else "2", m=m, n=n)
+        if not off_col:
+            return SpectrumType("II", "c", m=c + 1, n=r)
+        m = (A + 4 * d) // six
+        if not off_row:
+            return SpectrumType("II", "b", m=m, n=r)
+        a_line = (6 * m + 6 * r - 8) * d - A
+        if B == a_line:
+            return SpectrumType("II", "a", m=m, n=r)
+        return SpectrumType("II", "1" if B < a_line else "2", m=m, n=r)
 
     # class III: a0 > 2 and -2 - a0 < a1 < -4. Strips in a1 are separated by
     # the b-lines a1 = -4 - 6n; bands in a0 by the c-lines a0 = 6s - 4.
-    w = (-4 - a1) / 6
-    on_b = w.denominator == 1
-    n = int(w) if on_b else math.floor(w) + 1
-    sfrac = (a0 + 4) / 6
-    on_c = sfrac.denominator == 1
-    s = int(sfrac) if on_c else math.floor(sfrac)
+    n = -((B + 4 * d) // six)  # ceil((-4 - a1) / 6)
+    on_b = (B + 4 * d) % six == 0
+    s, off_c = divmod(A + 4 * d, six)
+    on_c = not off_c
     if on_c and on_b:
         _invariant(s - 1 - n >= 1, "III.abc: index m < 1")
         return SpectrumType("III", "abc", m=s - 1 - n, n=n)
@@ -209,11 +209,11 @@ def classify3(p: AlgebraParams) -> SpectrumType:
     if on_b:
         _invariant(s - n >= 1, "III.b: index m < 1")
         return SpectrumType("III", "b", m=s - n, n=n)
-    a_line = 6 * (s - n) - a0 - 2
-    if a1 == a_line:
+    a_line = (6 * (s - n) - 2) * d - A
+    if B == a_line:
         _invariant(s - n >= 1, "III.a: index m < 1")
         return SpectrumType("III", "a", m=s - n, n=n)
-    if a1 < a_line:
+    if B < a_line:
         _invariant(s - n >= 1, "III.2: index m < 1")
         return SpectrumType("III", "2", m=s - n, n=n)
     _invariant(s - n + 1 >= 1, "III.1: index m < 1")
@@ -282,12 +282,13 @@ def order_key(p: AlgebraParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     every prefix length. Conversely, comparing each subspace with a lowest
     one, mu_0, recovers the key: q_mu + 1 levels of mu_0 lie at or below
     level mu, and the levels at quotient max q order and tie the r_mu.
-    In integers, with d the lcm of the betas' denominators and beta_lambda = 0:
+    In integers, with (d, d alpha) = ``p.integer_form`` and beta_lambda = 0:
     G_mu = 2d e_mu = d (2 mu + 1) + d beta_mu + d beta_{mu+1}, and dividing G_mu - min G
-    by 2d lambda gives the same q, and r scaled by 2d, so the same ranks.
+    by 2d lambda gives the same q, and r scaled by 2d, so the same ranks.  Any common
+    denominator d does: scaling d scales G and the modulus alike.
     """
-    d = math.lcm(*(b.denominator for b in p.betas))
-    db = [b.numerator * (d // b.denominator) for b in p.betas] + [0]
+    d, nums = p.integer_form
+    db = list(accumulate(nums, initial=0))  # d beta_0, ..., d beta_lambda = 0
     g = [d * (2 * mu + 1) + db[mu] + db[mu + 1] for mu in range(p.lam)]
     lo = min(g)
     q, r = zip(*(divmod(x - lo, 2 * d * p.lam) for x in g))
@@ -413,18 +414,24 @@ def random_admissible_params(
 ) -> AlgebraParams:
     """Draw a uniform-ish random admissible rational parameter vector.
 
-    A draw that breaks Fock existence is redrawn; lambda < 2 raises
-    :class:`InadmissibleParams`.
+    A draw that breaks Fock existence is redrawn; lambda < 2, max_numer < 0
+    (no first entry exists) and max_denom < 1 raise :class:`InadmissibleParams`.
     """
+    if lam < 2:
+        raise InadmissibleParams(f"lambda must be >= 2, got {lam}")
+    if max_numer < 0 or max_denom < 1:
+        raise InadmissibleParams(
+            f"need max_numer >= 0 and max_denom >= 1, got {max_numer} and {max_denom}")
     while True:
-        head, total = [], 0  # total == sum(head)
+        head, num, den = [], 0, 1  # num / den == sum(head), den > 0
         for mu in range(lam - 1):
             q = rng.randint(1, max_denom)
-            a = Fraction(rng.randint(math.floor((-(mu + 1) - total) * q), max_numer * q), q)
-            # existence needs F(mu+1) = mu + 1 + sum(head) + a > 0
-            if mu + 1 + total + a <= 0:
+            # k >= floor((-(mu + 1) - sum(head)) * q), all in integers
+            k = rng.randint(((-(mu + 1) * den - num) * q) // den, max_numer * q)
+            # existence needs F(mu+1) = mu + 1 + sum(head) + k / q > 0
+            if ((mu + 1) * den + num) * q + k * den <= 0:
                 break
-            head.append(a)
-            total += a
+            head.append(Fraction(k, q))
+            num, den = num * q + k * den, den * q
         else:
-            return new_params(lam, head)
+            return AlgebraParams(alphas=(*head, Fraction(-num, den)))

@@ -56,6 +56,8 @@ CASES: list[tuple[str, list[str], dict[str, str]]] = [
     ("diagram_ascii_susy", ["diagram", *_p("0", "1/2"), "--ascii", "--susy"], {}),
     ("sweep_grid_inadmissible", ["sweep", "--grid", "-1:2:1/2,-2:1:1/2"], {}),
     ("sweep_grid_fine", ["sweep", "--grid", "-2:3:1/2,-4:4:1/3"], {}),
+    # reaches a1 = -40, so every class III window type is pinned
+    ("sweep_grid_class3", ["sweep", "--grid", "-1:40:1/2,-40:12:1/3"], {}),
     ("sweep_random_10000", ["sweep", "--random", "10000", "--seed", "0"], {}),
     # the exit-2 inputs of tests/test_cli.py::test_invalid_input_exits_2
     ("invalid_classify_levels_0", ["classify", "--levels", "0"], {}),

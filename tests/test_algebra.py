@@ -206,12 +206,17 @@ class TestLadder:
         one, other = Ladder((0, 1, 2), 3), Ladder((0, 1, 7), 3)
         assert one.gap(other, 2) == 0 and one.gap(other, 3) == 5
 
-    @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (3, 0)])
+    @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (3, 1)])
     def test_lengths_must_agree(self, lengths):
         # the shorter ladder would compare fewer residues, and pass
         one, other = (Ladder((Fraction(0),) * n, Fraction(2)) for n in lengths)
         with pytest.raises(ValueError, match="ladders of"):
             one.gap(other, 10)
+
+    def test_empty_firsts_rejected(self):
+        # lambda = 0: at() would divide by zero and gap() would compare nothing
+        with pytest.raises(ValueError, match="at least one first value"):
+            Ladder((), Fraction(3))
 
     @pytest.mark.parametrize("lam", range(2, 8))
     def test_structure_ladder_is_f(self, lam):

@@ -566,20 +566,35 @@ class TestSusyWindow:
             assert susy_window(p) == printed, p.alphas
 
 
+def draw_in_subprocess(kwargs):
+    """stderr of one ``random_admissible_params`` call that must fail; a hang fails the test.
+
+    In a subprocess with a timeout: a retry loop that can never succeed would hang, not fail.
+    """
+    script = textwrap.dedent(f"""
+        import random
+        from cext_osc.spectrum import random_admissible_params
+        random_admissible_params(random.Random(0), **{kwargs!r})
+    """)
+    src = os.path.dirname(os.path.dirname(cext_osc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"random_admissible_params(**{kwargs!r}) does not return")
+    assert proc.returncode != 0
+    return proc.stderr
+
+
 class TestRandomAdmissibleParams:
     def test_lambda_below_two_raises(self):
-        # in a subprocess with a timeout: a retry loop would hang, not fail
-        script = textwrap.dedent("""
-            import random
-            from cext_osc.spectrum import random_admissible_params
-            random_admissible_params(random.Random(0), lam=1)
-        """)
-        src = os.path.dirname(os.path.dirname(cext_osc.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        try:
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=30)
-        except subprocess.TimeoutExpired:
-            pytest.fail("random_admissible_params(lam=1) does not return")
-        assert proc.returncode != 0
-        assert "InadmissibleParams: lambda must be >= 2, got 1" in proc.stderr
+        for lam in (1, 0):
+            stderr = draw_in_subprocess({"lam": lam})
+            assert f"InadmissibleParams: lambda must be >= 2, got {lam}" in stderr
+
+    @pytest.mark.parametrize("kwargs", [{"max_numer": -1}, {"max_denom": 0}])
+    def test_empty_box_raises(self, kwargs):
+        # max_numer = -1 makes alpha_0 <= -1, so F(1) <= 0 on every draw
+        stderr = draw_in_subprocess(kwargs)
+        assert "InadmissibleParams: need max_numer >= 0 and max_denom >= 1" in stderr

@@ -105,11 +105,19 @@ class TestBuildHierarchy:
                 for n in range(20))
 
 
+def unchecked_empty_ladder():
+    """A Ladder with no firsts, built past its own check, as a malformed input would be."""
+    ladder = object.__new__(Ladder)
+    object.__setattr__(ladder, "firsts", ())
+    object.__setattr__(ladder, "period", Fraction(3))
+    return ladder
+
+
 class TestMalformedHierarchy:
     """A hierarchy whose members cannot be compared is refused, never passed."""
 
     @pytest.mark.parametrize("change", [
-        lambda h: {"members": (Ladder((), 3),) * 4},
+        lambda h: {"members": (unchecked_empty_ladder(),) * 4},
         lambda h: {"trunc": 1},
         lambda h: {"members": tuple(Ladder(m.firsts[:-1], m.period) for m in h.members)},
         lambda h: {"trunc": 5},

@@ -15,6 +15,7 @@ from itertools import accumulate
 from typing import Sequence
 
 RationalLike = Fraction | int | str
+MAX_EXPONENT = 3000  # largest |exponent| of a decimal string; 10**3000 has 9966 bits
 
 
 class ExistenceViolation(ValueError):
@@ -47,6 +48,14 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _float(x: Fraction) -> float:
+    """``float(x)``; an exact value beyond the float range is an input error, not a fault."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InadmissibleParams("an energy of this point is beyond the float range") from None
 
 
 def _valid_tol(tol: float) -> None:
@@ -230,8 +239,14 @@ def alpha_to_kappa(p: AlgebraParams) -> KappaPair:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', integer, or finite-decimal strings without float round-off."""
+    """Parse 'p/q', integer, or finite-decimal strings without float round-off.
+
+    A decimal exponent beyond +-MAX_EXPONENT is refused before 10**exponent is built.
+    """
+    _, marker, exponent = text.lower().partition("e")
     try:
-        return Fraction(text.strip())
+        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InadmissibleParams(f"cannot parse rational {text!r}") from exc
+    raise InadmissibleParams(f"the exponent of {text!r} is beyond +-{MAX_EXPONENT}")

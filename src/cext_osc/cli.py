@@ -7,41 +7,48 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from fractions import Fraction
 
 import click
 from click.core import ParameterSource
 
 from . import __version__
+# The error boundary needs only algebra's types: each command imports the
+# layers it runs at the top of its body, so no command loads a layer it does
+# not use.
 from .algebra import (
     AlgebraParams,
     ExistenceViolation,
     InadmissibleParams,
     WindowViolation,
+    _float,
     new_params,
     parse_rational,
 )
-from .spectrum import (
-    NotPeriodic,
-    classify3,
-    degeneracy_pattern,
-    detect_period,
-    oracle_agrees,
-    random_admissible_params,
-    susy_window,
-)
-from .susy import (build_hierarchy, check_interlacing, projection_shift_identity, shift_flags,
-                   superalgebra_gap)
 
 SCHEMA_VERSION = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAIL = 3
 MAX_LEVELS = 10**5  # cap of classify --levels, spectrum --count and diagram --levels
+# Cap of the integer form of the rationals that make a point or a grid: d, the lcm of
+# their denominators, and d * sum(|v|).  Every value the CLI prints then has under
+# 10100 bits, far below Python's int-to-str limit (4300 digits, about 14280 bits).
+MAX_BITS = 10_000
 # The library's errors for input outside its domain; any other exception is a fault.
 INPUT_ERRORS = (InadmissibleParams, ExistenceViolation, WindowViolation)
 # Bare `cext-osc` prints the help; click >= 8.2 raises that as a UsageError.
 _PRINTS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+def _refuse_beyond_cap(values, what: str) -> None:
+    """Raise ``InadmissibleParams`` if the integer form of ``values`` exceeds MAX_BITS."""
+    message = f"{what} needs more than {MAX_BITS} bits over one denominator"
+    d = 1
+    for v in values:  # checked at each step: the lcm of many large denominators is costly
+        d = math.lcm(d, v.denominator)
+        if d.bit_length() > MAX_BITS:
+            raise InadmissibleParams(message)
+    if sum(abs(v.numerator) * (d // v.denominator) for v in values).bit_length() > MAX_BITS:
+        raise InadmissibleParams(message)
 
 
 def _collect_params(lam, alpha0, alpha1, alphas):
@@ -59,23 +66,17 @@ def _collect_params(lam, alpha0, alpha1, alphas):
             raise InadmissibleParams(
                 f"--alpha given {len(head)} times, lambda={lam} needs {lam - 1}"
             )
-        return new_params(lam, head)
-    head = [parse_rational(alpha0)]
-    if lam >= 3:
-        head.append(parse_rational(alpha1))
-    if lam > 3:
-        raise InadmissibleParams(
-            f"lambda={lam} needs {lam - 1} parameters; use repeated --alpha"
-        )
+    else:
+        head = [parse_rational(alpha0)]
+        if lam >= 3:
+            head.append(parse_rational(alpha1))
+        if lam > 3:
+            raise InadmissibleParams(
+                f"lambda={lam} needs {lam - 1} parameters; use repeated --alpha"
+            )
+    # before new_params, whose error message would print the point's values
+    _refuse_beyond_cap(head, "the point")
     return new_params(lam, head)
-
-
-def _float(x: Fraction) -> float:
-    """``float(x)``; an exact value beyond the float range is an input error, not a fault."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise InadmissibleParams("an energy of this point is beyond the float range") from None
 
 
 def _base_report(p: AlgebraParams) -> dict:
@@ -89,6 +90,8 @@ def _base_report(p: AlgebraParams) -> dict:
 
 def classification_report(p: AlgebraParams, count: int = 30) -> dict:
     """Full classification report; oracle descriptor for lambda != 3."""
+    from .spectrum import (NotPeriodic, classify3, degeneracy_pattern, detect_period,
+                           oracle_agrees, susy_window)
     rep = _base_report(p)
     groups = degeneracy_pattern(p, count).groups
     rep["degeneracy_groups"] = [{"energy": str(e), "indices": list(idx)} for e, idx in groups]
@@ -165,7 +168,12 @@ class _Commands(click.Group):
 @click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
-    """Spectra of cyclic-group-extended oscillator Hamiltonians."""
+    """Spectra of cyclic-group-extended oscillator Hamiltonians.
+
+    Each rational is exact: 'p/q', an integer, or a decimal whose exponent is at
+    most 3000 in magnitude ('1.5e-3'). A point, or a sweep grid, whose rationals
+    need more than 10000 bits over one common denominator is refused (exit 2).
+    """
 
 
 @main.command()
@@ -209,6 +217,8 @@ def spectrum(alpha0, alpha1, alphas, lam, count):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def susy(alpha0, alpha1, alphas, lam, trunc, tol):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
+    from .susy import (build_hierarchy, check_interlacing, projection_shift_identity,
+                       shift_flags, superalgebra_gap)
     p = _collect_params(lam, alpha0, alpha1, alphas)
     hier = build_hierarchy(p, trunc)
     # decided in integers, so max_residual reads exactly 0.0 on a passing point
@@ -239,7 +249,7 @@ def _grid_points(spec: str):
     parts = spec.split(",")
     if len(parts) != 2:
         raise InadmissibleParams("grid spec must be 'a0min:a0max:step,a1min:a1max:step'")
-    axes = []
+    axes, values = [], ()
     for part in parts:
         pieces = part.split(":")
         if len(pieces) != 3:
@@ -249,6 +259,9 @@ def _grid_points(spec: str):
             raise InadmissibleParams("grid step must be positive")
         # an axis is (lo, step, count): no value is built before it is reached
         axes.append((lo, step, math.floor((hi - lo) / step) + 1))
+        values += (lo, hi, step)
+    # every point is lo + i * step on both axes, so the spec's cap bounds each point's
+    _refuse_beyond_cap(values, "the grid")
     # both axes are parsed before the first point is yielded, so a bad spec prints nothing
     (lo0, step0, n0), (lo1, step1, n1) = axes
     for a0 in (lo0 + i * step0 for i in range(n0)):
@@ -265,6 +278,7 @@ def _grid_points(spec: str):
 @click.option("--seed", type=int, default=0, show_default=True)
 def sweep(grid, n_random, seed):
     """Classify many lambda=3 points, JSON-lines output plus a summary line."""
+    from .spectrum import classify3, oracle_agrees, random_admissible_params
     if (grid is None) == (n_random is None):
         raise InadmissibleParams("give exactly one of --grid / --random")
     # one pass: each point is drawn or stepped, classified and printed before the next
@@ -299,105 +313,6 @@ def sweep(grid, n_random, seed):
         sys.exit(EXIT_VERIFY_FAIL)
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
-    """Geometry of a level diagram: one column per spectrum, exact energies."""
-
-    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
-    column_names: tuple[str, ...]
-    ticks: tuple[Fraction, ...]
-    title: str = ""
-
-
-def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> DiagramSpec:
-    lam = p.lam
-    if susy_mode:
-        hier = build_hierarchy(p, max(count, 2 * lam))
-        cols = tuple(tuple((n, m.at(n)) for n in range(count)) for m in hier.members)
-        names = tuple(f"H({mu})" for mu in range(lam + 1))
-    else:
-        cols = tuple(
-            tuple((lam * k + mu, p.energy(lam * k + mu)) for k in range(count))
-            for mu in range(lam)
-        )
-        names = tuple(f"F{mu}" for mu in range(lam))
-    lo = min(e for col in cols for _, e in col)
-    hi = max(e for col in cols for _, e in col)
-    # a tick every lambda, thinned so that a wide spread draws at most 2 * count + 1
-    stride = lam * max(1, math.ceil((hi - lo) / (2 * lam * count)))
-    ticks = tuple(lo + k * stride for k in range((hi - lo) // stride + 1))
-    if susy_mode:
-        title = "supersymmetric hierarchy"
-    elif lam == 3:
-        title = classify3(p).label
-    else:
-        title = ""
-    return DiagramSpec(columns=cols, column_names=names, ticks=ticks, title=title)
-
-
-def render_svg(spec: DiagramSpec) -> str:
-    lo = min(e for col in spec.columns for _, e in col)
-    hi = max(e for col in spec.columns for _, e in col)
-    span = _float(hi - lo) or 1.0
-    width_col, bar, margin, height = 80, 50, 70, 480
-    top, bottom = 30, height - 40
-
-    def y(e: Fraction) -> float:
-        return bottom - (float(e - lo) / span) * (bottom - top)
-
-    ncol = len(spec.columns)
-    width = margin + ncol * width_col + 20
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" font-family="sans-serif" font-size="11">',
-        f'<line x1="{margin - 20}" y1="{top - 10}" x2="{margin - 20}" '
-        f'y2="{bottom + 5}" stroke="black"/>',
-    ]
-    if spec.title:
-        out.append(
-            f'<text x="{width / 2:.0f}" y="16" text-anchor="middle" '
-            f'font-weight="bold">{spec.title}</text>')
-    for tick in spec.ticks:
-        ty = y(tick)
-        out.append(
-            f'<line x1="{margin - 25}" y1="{ty:.1f}" x2="{margin - 15}" '
-            f'y2="{ty:.1f}" stroke="black"/>')
-        out.append(
-            f'<text x="{margin - 30}" y="{ty + 4:.1f}" text-anchor="end">{tick}</text>')
-    for c, (col, name) in enumerate(zip(spec.columns, spec.column_names)):
-        x0 = margin + c * width_col
-        out.append(
-            f'<text x="{x0 + bar / 2}" y="{bottom + 25}" text-anchor="middle">{name}</text>')
-        top_y = min(y(e) for _, e in col)
-        out.append(
-            f'<line x1="{x0}" y1="{top_y - 12:.1f}" x2="{x0 + bar}" '
-            f'y2="{top_y - 12:.1f}" stroke="black" stroke-dasharray="4 3"/>')
-        for idx, e in col:
-            ly = y(e)
-            out.append(
-                f'<line x1="{x0}" y1="{ly:.1f}" x2="{x0 + bar}" y2="{ly:.1f}" '
-                f'stroke="black" stroke-width="1.5"/>')
-            out.append(
-                f'<text x="{x0 + bar + 4}" y="{ly + 4:.1f}">{idx}</text>')
-    out.append("</svg>")
-    return "\n".join(out)
-
-
-def render_ascii(spec: DiagramSpec) -> str:
-    energies = sorted({e for col in spec.columns for _, e in col}, reverse=True)
-    colw = 10
-    # the first level index of each energy in each column, so each row is one lookup per column
-    firsts = [{} for _ in spec.columns]
-    for first, col in zip(firsts, spec.columns):
-        for idx, e in col:
-            first.setdefault(e, idx)
-    lines = [" " * 10 + "".join(f"{name:^{colw}}" for name in spec.column_names)]
-    for e in energies:
-        cells = (f"--{first[e]}--".center(colw) if e in first else " " * colw for first in firsts)
-        lines.append(f"{str(e):>9} " + "".join(cells).rstrip())
-    return "\n".join(lines)
-
-
 @main.command()
 @param_options
 @click.option("--levels", "count", type=click.IntRange(min=1, max=MAX_LEVELS), default=18,
@@ -408,6 +323,7 @@ def render_ascii(spec: DiagramSpec) -> str:
               help="draw the hierarchy members instead of the Fock columns")
 def diagram(alpha0, alpha1, alphas, lam, count, out, ascii_mode, susy_mode):
     """Emit a level diagram (SVG file or ASCII on stdout)."""
+    from .render import diagram_spec, render_ascii, render_svg
     spec = diagram_spec(_collect_params(lam, alpha0, alpha1, alphas), count, susy_mode)
     if ascii_mode:
         click.echo(render_ascii(spec))

@@ -76,6 +76,11 @@ CASES: list[tuple[str, list[str], dict[str, str]]] = [
     ("invalid_format", ["classify", "--format", "xml"], {}),
     ("invalid_out_missing_dir", ["diagram", "--out", "no-such-dir/levels.svg"], {}),
     ("invalid_out_directory", ["diagram", "--out", "."], {}),
+    # the help, wrapped at a fixed width, carries the caps and every option's text
+    ("help", ["--help"], {"COLUMNS": "80"}),
+    *((f"help_{command}", [command, "--help"], {"COLUMNS": "80"})
+      for command in ("classify", "spectrum", "susy", "sweep", "diagram")),
+    ("version", ["--version"], {}),
 ]
 
 

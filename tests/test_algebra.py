@@ -18,7 +18,7 @@ from cext_osc import (
     kappa_to_alpha,
     new_params,
 )
-from cext_osc.algebra import parse_rational
+from cext_osc.algebra import MAX_EXPONENT, parse_rational
 
 from conftest import params3, reference_energy, streaming_gap
 
@@ -345,3 +345,19 @@ class TestRationalParsing:
     def test_bad_input(self):
         with pytest.raises(InadmissibleParams):
             parse_rational("one half")
+
+    @pytest.mark.parametrize("exponent", [MAX_EXPONENT, -MAX_EXPONENT])
+    def test_exponent_at_cap(self, exponent):
+        assert parse_rational(f"1e{exponent}") == Fraction(10) ** exponent
+        assert parse_rational(f" 2.5E{exponent} ") == Fraction(5, 2) * Fraction(10) ** exponent
+
+    @pytest.mark.parametrize("text", [
+        f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}", f"0.5E+{MAX_EXPONENT + 1}",
+        "1e99999999", f"1e{'9' * 5000}",
+    ], ids=lambda text: text[:16])
+    def test_exponent_past_cap_is_refused(self, text):
+        # refused before 10**exponent is built, so it returns at once
+        with pytest.raises(InadmissibleParams):
+            parse_rational(text)
+        with pytest.raises(InadmissibleParams):
+            new_params(3, [text, "0"])

@@ -11,8 +11,9 @@ from click.testing import CliRunner
 
 import cext_osc
 from cext_osc import new_params
-from cext_osc.cli import (EXIT_INVALID, EXIT_VERIFY_FAIL, SCHEMA_VERSION, diagram_spec, main,
-                          render_ascii)
+from cext_osc.algebra import MAX_EXPONENT
+from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, MAX_BITS, SCHEMA_VERSION, main
+from cext_osc.render import diagram_spec, render_ascii
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ def _raise_value_error(*args):
 
 
 @pytest.mark.parametrize("target,fault,exc_type", [
-    ("cext_osc.cli.degeneracy_pattern", _raise_value_error, ValueError),
+    ("cext_osc.spectrum.degeneracy_pattern", _raise_value_error, ValueError),
     ("cext_osc.spectrum.period3_omegas", lambda p, t: None, AssertionError),
 ])
 def test_internal_fault_is_not_invalid_input(runner, monkeypatch, target, fault,
@@ -210,7 +211,7 @@ class TestSusy:
     @pytest.mark.parametrize("flags", [(False, True), (True, False)])
     def test_failed_shift_flag_exits_3(self, runner, monkeypatch, flags):
         # build_hierarchy makes both flags hold, so a failing one is patched in
-        monkeypatch.setattr("cext_osc.cli.shift_flags", lambda h: flags)
+        monkeypatch.setattr("cext_osc.susy.shift_flags", lambda h: flags)
         res = run(runner, "susy", "--alpha0", "0", "--alpha1", "1/2")
         assert res.exit_code == EXIT_VERIFY_FAIL
         doc = json.loads(res.output)["susy"]
@@ -219,8 +220,8 @@ class TestSusy:
 
     @pytest.mark.parametrize("tol,code", [(0.126, 0), (0.125, EXIT_VERIFY_FAIL)])
     def test_residual_is_held_to_a_strict_tol(self, runner, monkeypatch, tol, code):
-        monkeypatch.setattr("cext_osc.cli.superalgebra_gap", lambda h: Fraction(1, 8))
-        monkeypatch.setattr("cext_osc.cli.projection_shift_identity", lambda h, tol: True)
+        monkeypatch.setattr("cext_osc.susy.superalgebra_gap", lambda h: Fraction(1, 8))
+        monkeypatch.setattr("cext_osc.susy.projection_shift_identity", lambda h, tol: True)
         res = run(runner, "susy", "--alpha0", "0", "--alpha1", "1/2", "--tol", str(tol))
         assert res.exit_code == code
         doc = json.loads(res.output)["susy"]
@@ -346,6 +347,75 @@ def test_level_cap_fits_in_bounded_memory(args):
     assert proc.returncode == 0, err[-2000:]
     assert err == ""
     assert out.count("\n") >= 100000
+
+
+# two 3002-digit denominators: each is under the cap, their lcm is not
+HUGE_A, HUGE_B = f"1/1{'0' * 3000}1", f"1/1{'0' * 3000}3"
+HUGE_POINT = ["--alpha0", HUGE_A, "--alpha1", HUGE_B]
+
+
+@pytest.mark.parametrize("args", [
+    # 10**99999999 would take minutes to build
+    ["classify", "--alpha0", "1e99999999"],
+    # a 4401-digit denominator, beyond Python's int-to-str limit
+    ["classify", "--alpha0", "1e-4400"],
+    ["classify", *HUGE_POINT],
+    ["spectrum", *HUGE_POINT],
+    ["susy", *HUGE_POINT],
+    ["diagram", *HUGE_POINT, "--ascii"],
+    ["sweep", "--grid", f"0:1:{HUGE_A},0:1:{HUGE_B}"],
+], ids=lambda args: " ".join(a[:12] for a in args))
+def test_huge_rational_exits_2(args):
+    # refused before any value is built or printed: no hang, no int-to-str traceback
+    proc = fresh_cli(args)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == EXIT_INVALID, err[-2000:]
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestIntegerFormCap:
+    """A point or grid is refused iff its integer form needs more than MAX_BITS bits."""
+
+    @pytest.mark.parametrize("alpha0,code", [
+        (str(2**MAX_BITS - 1), 0),
+        (str(2**MAX_BITS), EXIT_INVALID),
+        (f"1/{2**MAX_BITS - 1}", 0),
+        (f"1/{2**MAX_BITS}", EXIT_INVALID),
+    ], ids=["numerator-at-cap", "numerator-past-cap", "denominator-at-cap",
+            "denominator-past-cap"])
+    def test_point(self, runner, alpha0, code):
+        res = runner.invoke(main, ["classify", "--alpha0", alpha0, "--alpha1", "0"])
+        assert res.exit_code == code, res.stderr
+        if code:
+            assert res.stdout == ""
+            assert res.stderr == (
+                f"error: the point needs more than {MAX_BITS} bits over one denominator\n")
+
+    def test_sum_of_magnitudes_counts(self, runner):
+        # each entry fits, their sum does not: the closing alpha would be -(alpha0 + alpha1)
+        half = str(2**(MAX_BITS - 1))
+        res = runner.invoke(main, ["classify", "--alpha0", half, "--alpha1", half])
+        assert res.exit_code == EXIT_INVALID
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("step,code", [
+        (f"1/{2**MAX_BITS - 1}", 0),
+        (f"1/{2**MAX_BITS}", EXIT_INVALID),
+    ], ids=["at-cap", "past-cap"])
+    def test_grid(self, runner, step, code):
+        # a one-point grid whose steps carry the large denominator
+        res = runner.invoke(main, ["sweep", "--grid", f"0:0:{step},0:0:{step}"])
+        assert res.exit_code == code, res.stderr
+        assert len(res.stdout.splitlines()) == (0 if code else 2)
+
+    def test_caps_are_in_the_help(self, runner):
+        help_text = runner.invoke(main, ["--help"]).output
+        assert f"{MAX_BITS} bits" in help_text
+        assert f"at\n  most {MAX_EXPONENT} in magnitude" in help_text
 
 
 def render_ascii_by_scan(spec):

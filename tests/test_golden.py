@@ -16,6 +16,10 @@ from click.testing import CliRunner
 from cext_osc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the name the help and --version print, as tests/make_golden.py runs the CLI
+PROG = "python -m cext_osc.cli"
+# a process run with COLUMNS=80 wraps its help at 78 columns; click's runner would force 80
+HELP_WIDTH = 78
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
@@ -25,7 +29,8 @@ def test_golden(case, tmp_path):
     runner = CliRunner()
     # relative --out paths resolve in an empty directory
     with runner.isolated_filesystem(temp_dir=tmp_path):
-        res = runner.invoke(main, case["args"], env=env)
+        res = runner.invoke(main, case["args"], env=env, prog_name=PROG,
+                            terminal_width=HELP_WIDTH)
     assert res.exit_code == case["exit_code"], res.stderr
     out = res.stdout_bytes
     if "sha256" in case:

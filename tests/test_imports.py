@@ -1,7 +1,8 @@
-"""The import boundary: the exact layers and commands run without NumPy.
+"""The import boundary: the exact layers and commands run without NumPy, and
+each command loads only the library modules it runs.
 
 The process tests start the CLI in a fresh interpreter, because the test
-session itself has NumPy loaded long before any test runs.
+session itself has NumPy and every module loaded long before any test runs.
 """
 
 import json
@@ -30,6 +31,49 @@ try:
 finally:
     print(sys.modules.get("numpy") is not None, file=sys.stderr)
 """
+# Runs the CLI like RUN_CLI, then reports on a last stderr line, as JSON, the
+# library modules it loaded.
+REPORT_MODULES = """
+import json, runpy, sys
+try:
+    runpy.run_module("cext_osc.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("cext_osc."))),
+          file=sys.stderr)
+"""
+POINT = ["--alpha0", "0", "--alpha1", "1/2"]
+# what each command loads besides the CLI itself
+MODULES_LOADED = [
+    (["classify", *POINT], ["cext_osc.algebra", "cext_osc.spectrum"]),
+    (["spectrum", *POINT], ["cext_osc.algebra"]),
+    (["susy", *POINT], ["cext_osc.algebra", "cext_osc.susy"]),
+    (["diagram", *POINT], ["cext_osc.algebra", "cext_osc.render", "cext_osc.spectrum"]),
+    (["diagram", *POINT, "--ascii"], ["cext_osc.algebra", "cext_osc.render", "cext_osc.spectrum"]),
+    (["diagram", *POINT, "--ascii", "--susy"],
+     ["cext_osc.algebra", "cext_osc.render", "cext_osc.susy"]),
+    # lambda != 3 has no label to title the diagram with
+    (["diagram", "--lambda", "2", "--alpha", "1/2", "--ascii"],
+     ["cext_osc.algebra", "cext_osc.render"]),
+    (["sweep", "--random", "20", "--seed", "0"], ["cext_osc.algebra", "cext_osc.spectrum"]),
+    (["sweep", "--grid", "0:1:1/2,0:1:1/2"], ["cext_osc.algebra", "cext_osc.spectrum"]),
+    (["--help"], ["cext_osc.algebra"]),
+    (["--version"], ["cext_osc.algebra"]),
+]
+# The package's listing when it imported every name of algebra, spectrum and susy
+PUBLIC_NAMES = [
+    "AlgebraParams", "DegeneracyPattern", "ExistenceViolation", "InadmissibleParams",
+    "InvariantViolation", "KappaPair", "Ladder", "NotPeriodic", "PatternDescriptor",
+    "PeriodReport", "SpectrumType", "SqmReport", "SusyHierarchy", "UnsupportedLambda",
+    "WindowViolation", "algebra", "alpha_to_kappa", "build_hierarchy", "check_interlacing",
+    "classify3", "classify_oracle", "cyclic_shift", "degeneracy_pattern", "detect_period",
+    "expected_prefix", "kappa_to_alpha", "label_from_key", "levels", "new_params",
+    "oracle_agrees", "order_key", "projection_shift_identity", "representative_params",
+    "shift_flags", "spectrum", "superalgebra_gap", "susy", "susy_window", "verify_sqm",
+]
+MODULE_ATTRIBUTES = [
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+    "__package__", "__path__", "__spec__", "__version__",
+]
 EXACT_COMMANDS = [
     ["classify", "--alpha0", "0", "--alpha1", "6"],
     ["spectrum", "--alpha0", "2", "--alpha1", "8"],
@@ -80,6 +124,21 @@ def test_importing_the_cli_does_not_load_numpy():
     proc = python("-c", "import sys, cext_osc.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("args,loaded", MODULES_LOADED,
+                         ids=[" ".join(args) for args, _ in MODULES_LOADED])
+def test_command_loads_only_what_it_runs(args, loaded):
+    proc = python("-c", REPORT_MODULES, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = python("-c", "import sys, cext_osc; print(sorted(m for m in sys.modules "
+                        "if m.startswith('cext_osc')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['cext_osc']\n"
 
 
 def test_exact_susy_checks_run_without_numpy():
@@ -169,3 +228,36 @@ except ImportError:
 
     def test_window_violation_is_one_class(self):
         assert cext_osc.WindowViolation is susy.WindowViolation
+
+    def test_listing_is_the_eager_packages(self):
+        code = """
+import json, cext_osc
+listed = dir(cext_osc)
+star = {}
+exec("from cext_osc import *", star)
+print(json.dumps([listed, sorted(name for name in star if name != "__builtins__")]))
+"""
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        listed, star = json.loads(proc.stdout)
+        assert listed == sorted(PUBLIC_NAMES + MODULE_ATTRIBUTES)
+        assert star == PUBLIC_NAMES
+
+    def test_name_is_bound_on_first_read(self):
+        code = """
+import sys, cext_osc
+before = "classify3" in vars(cext_osc)
+cext_osc.classify3
+print(before, "classify3" in vars(cext_osc), "cext_osc.spectrum" in sys.modules,
+      "cext_osc.susy" in sys.modules)
+"""
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False True True False\n"
+
+    def test_submodule_by_name(self):
+        from cext_osc import fockrep, render
+
+        assert fockrep.__name__ == "cext_osc.fockrep"
+        assert render.__name__ == "cext_osc.render"
+        assert cext_osc.algebra.__name__ == "cext_osc.algebra"

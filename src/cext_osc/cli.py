@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import re
 import sys
-from contextlib import contextmanager
-
-import click
-from click.core import ParameterSource
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 # The error boundary needs only algebra's types: each command imports the
@@ -35,8 +35,158 @@ MAX_LEVELS = 10**5  # cap of classify --levels, spectrum --count and diagram --l
 MAX_BITS = 10_000
 # The library's errors for input outside its domain; any other exception is a fault.
 INPUT_ERRORS = (InadmissibleParams, ExistenceViolation, WindowViolation)
-# Bare `cext-osc` prints the help; click >= 8.2 raises that as a UsageError.
-_PRINTS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+HELP_WIDTH = 78  # the help is wrapped at this width, whatever the terminal's
+
+
+class UsageError(Exception):
+    """A command line that does not parse; like an input error, it ends in exit 2."""
+
+
+class Option(NamedTuple):
+    """One option of a command: how it parses, how it converts, and its help line."""
+
+    flag: str
+    dest: str
+    # also what the help shows: TEXT or PATH (a string), INTEGER, FLOAT, INTEGER RANGE
+    # (within bounds, None for an open end), [a|b] (one of a and b), or "" for a flag
+    type: str = "TEXT"
+    default: object = None
+    help: str = ""
+    show_default: bool = False
+    bounds: tuple = (None, None)
+    envvar: str | None = None  # read when the option is not given; empty counts as unset
+    repeat: bool = False  # every value given is kept, in a list
+
+
+HELP = Option("--help", "help", "", False, "Show this message and exit.")
+VERSION = Option("--version", "version", "", False, "Show the version and exit.")
+POINT = (
+    Option("--lambda", "lam", "INTEGER", 3, "cyclic group order", show_default=True),
+    Option("--alpha", "alphas", "TEXT", (), "full head parameter list (repeat lambda-1 times)",
+           repeat=True),
+    Option("--alpha1", "alpha1", "TEXT", "0", "alpha_1 as an exact rational 'p/q'"),
+    Option("--alpha0", "alpha0", "TEXT", "0", "alpha_0 as an exact rational 'p/q'",
+           show_default=True),
+)
+COMMANDS: dict = {}  # name -> (function, options)
+
+
+def command(*options: Option):
+    """Register a command: its name, docstring and options make its parser and its help."""
+    def register(fn):
+        COMMANDS[fn.__name__] = (fn, (*options, HELP))
+        return fn
+    return register
+
+
+def _echo(text: str, err: bool = False) -> None:
+    stream = sys.stderr if err else sys.stdout
+    if "\x1b" in text and not stream.isatty():  # echoed user text: no terminal codes in a file
+        text = re.sub(r"\x1b\[[;?0-9]*[a-zA-Z]", "", text)
+    # flushed line by line, so a sweep streams and a closed pipe is seen at once
+    print(text, file=stream, flush=True)
+
+
+def _invalid(flag: str, message: str) -> UsageError:
+    return UsageError(f"Invalid value for {flag!r}: {message}")
+
+
+def _no_such(kind: str, name: str, known=()) -> UsageError:
+    """The error for an unknown option or command, naming the known ones close to it."""
+    from difflib import get_close_matches
+    near = sorted(get_close_matches(name, known))
+    names = ", ".join(map(repr, near))
+    hint = f" (Did you mean one of: {names}?)" if len(near) > 1 else f" Did you mean {names}?"
+    return UsageError(f"No such {kind} {name!r}.{hint if near else ''}")
+
+
+def _range(bounds: tuple) -> str:
+    lo, hi = bounds
+    return f"x<={hi}" if lo is None else f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+
+
+def _convert(opt: Option, value):
+    if value is None or opt.type in ("TEXT", "PATH", ""):
+        return value
+    if opt.type[0] == "[":
+        choices = opt.type[1:-1].split("|")
+        if value in choices:
+            return value
+        raise _invalid(opt.flag, f"{value!r} is not one of {', '.join(map(repr, choices))}.")
+    try:
+        number = (float if opt.type == "FLOAT" else int)(value)
+    except ValueError:
+        raise _invalid(opt.flag, f"{value!r} is not a valid {opt.type.lower()}.") from None
+    lo, hi = opt.bounds
+    if lo is not None and number < lo or hi is not None and number > hi:
+        raise _invalid(opt.flag, f"{number} is not in the range {_range(opt.bounds)}.")
+    return number
+
+
+def _parse(path: str, doc, options, args, commands=None):
+    """(values, words left over) of ``args`` read against ``options``, as click read them."""
+    table = {opt.flag: opt for opt in options}
+    given: dict = {}  # dest -> raw value, in the order first given
+    words, rest = iter(args), []
+    for arg in words:
+        if arg == "--":  # ends the options
+            break
+        if arg[:1] != "-" or arg == "-":
+            rest.append(arg)
+            if commands:  # the group stops at its first word that is not an option
+                break
+            continue
+        name, eq, value = arg.partition("=")
+        opt = table.get(name)
+        if opt is None:  # '-xyz' is read as the short options -x, -y, -z: there are none
+            raise _no_such("option", *([name, table] if arg[:2] == "--" else [arg[:2]]))
+        if eq and not opt.type:
+            raise UsageError(f"Option {name!r} does not take a value.")
+        if opt.type and not eq and (value := next(words, None)) is None:  # even '-1/2' is one
+            raise UsageError(f"Option {name!r} requires an argument.")
+        value = value if opt.type else True  # a flag that is given is on
+        given[opt.dest] = [*given.get(opt.dest, ()), value] if opt.repeat else value
+    rest += words
+    for dest in given:  # --help and --version act before any value is converted
+        if dest in ("help", "version"):
+            _echo(_help(path, doc, options, commands) if dest == "help"
+                  else f"{path}, version {__version__}")
+            sys.exit(0)
+    # values convert in the order first given, so the first bad one is the one reported
+    first = list(given)
+    order = sorted(options, key=lambda o: first.index(o.dest) if o.dest in given else len(first))
+    values = {o.dest: _convert(o, given[o.dest] if o.dest in given
+                               else o.envvar and os.environ.get(o.envvar) or o.default)
+              for o in order}
+    return SimpleNamespace(**values, given=set(given)), rest
+
+
+def _help(path: str, doc, options, commands=None) -> str:
+    """The --help text: usage, docstring, options and commands, laid out as click did."""
+    import textwrap
+
+    def table(rows):  # the second column starts two spaces past the widest first one
+        first = max(len(a) for a, _ in rows) + 2
+        return [textwrap.fill(b, HELP_WIDTH, initial_indent=f"  {a:<{first}}",
+                              subsequent_indent=" " * (first + 2)) or f"  {a}" for a, b in rows]
+
+    out = [f"Usage: {path} [OPTIONS]{' COMMAND [ARGS]...' if commands else ''}"]
+    for paragraph in doc.split("\n\n") if doc else ():
+        out += ["", textwrap.fill(" ".join(paragraph.split()), HELP_WIDTH,
+                                  initial_indent="  ", subsequent_indent="  ")]
+    rows = []
+    for opt in options:
+        extra = "; ".join([f"default: {opt.default}"] * opt.show_default
+                          + [_range(opt.bounds)] * (opt.type == "INTEGER RANGE"))
+        rows.append((f"{opt.flag} {opt.type}".strip(),
+                     "  ".join(filter(None, (opt.help, extra and f"[{extra}]")))))
+    out += ["", "Options:", *table(rows)]
+    if commands:
+        limit = HELP_WIDTH - 6 - max(map(len, commands))
+        out += ["", "Commands:", *table([
+            (name, textwrap.shorten((fn.__doc__ or "").split("\n\n")[0], limit, placeholder="..."))
+            for name, (fn, _) in sorted(commands.items())])]
+    return "\n".join(out)
 
 
 def _refuse_beyond_cap(values, what: str) -> None:
@@ -51,25 +201,24 @@ def _refuse_beyond_cap(values, what: str) -> None:
         raise InadmissibleParams(message)
 
 
-def _collect_params(lam, alpha0, alpha1, alphas):
+def _collect_params(o: SimpleNamespace) -> AlgebraParams:
     # "given" is what the command line set; the defaults of --alpha0/--alpha1 are not
-    ctx = click.get_current_context()
-    given = [f"--{name}" for name in ("alpha0", "alpha1")
-             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
-    if alphas and given:
+    given = [f"--{name}" for name in ("alpha0", "alpha1") if name in o.given]
+    lam = o.lam
+    if o.alphas and given:
         raise InadmissibleParams(f"give the point by --alpha or by {given[0]}, not both")
     if lam == 2 and "--alpha1" in given:
         raise InadmissibleParams("lambda=2 takes --alpha0 only, not --alpha1")
-    if alphas:
-        head = [parse_rational(a) for a in alphas]
+    if o.alphas:
+        head = [parse_rational(a) for a in o.alphas]
         if len(head) != lam - 1:
             raise InadmissibleParams(
                 f"--alpha given {len(head)} times, lambda={lam} needs {lam - 1}"
             )
     else:
-        head = [parse_rational(alpha0)]
+        head = [parse_rational(o.alpha0)]
         if lam >= 3:
-            head.append(parse_rational(alpha1))
+            head.append(parse_rational(o.alpha1))
         if lam > 3:
             raise InadmissibleParams(
                 f"lambda={lam} needs {lam - 1} parameters; use repeated --alpha"
@@ -123,110 +272,100 @@ def classification_report(p: AlgebraParams, count: int = 30) -> dict:
     return rep
 
 
-def param_options(fn):
-    fn = click.option("--alpha0", default="0", show_default=True,
-                      help="alpha_0 as an exact rational 'p/q'")(fn)
-    fn = click.option("--alpha1", default="0",
-                      help="alpha_1 as an exact rational 'p/q'")(fn)
-    fn = click.option("--alpha", "alphas", multiple=True,
-                      help="full head parameter list (repeat lambda-1 times)")(fn)
-    fn = click.option("--lambda", "lam", type=int, default=3, show_default=True,
-                      help="cyclic group order")(fn)
-    return fn
-
-
-@contextmanager
-def _invalid_input_exits_2():
-    try:
-        yield
-    except _PRINTS_HELP:
-        raise
-    except (click.UsageError, *INPUT_ERRORS) as exc:
-        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
-        click.echo(f"error: {message}", err=True)
-        sys.exit(EXIT_INVALID)
-
-
-class _Commands(click.Group):
-    """Command group with the CLI's one validation boundary.
-
-    Invalid input, whether click's usage error or the library's input error,
-    ends in exit 2 with one ``error:`` line on stderr, never in a traceback;
-    any other exception is left to propagate.
-    """
-
-    def parse_args(self, ctx, args):
-        # the group's own options (`cext-osc --bogus`) are parsed before invoke
-        with _invalid_input_exits_2():
-            return super().parse_args(ctx, args)
-
-    def invoke(self, ctx):
-        with _invalid_input_exits_2():
-            return super().invoke(ctx)
-
-
-@click.group(cls=_Commands)
-@click.version_option(version=__version__)
-def main():
+def main(argv: list[str] | None = None, prog_name: str | None = None) -> None:
     """Spectra of cyclic-group-extended oscillator Hamiltonians.
 
     Each rational is exact: 'p/q', an integer, or a decimal whose exponent is at
     most 3000 in magnitude ('1.5e-3'). A point, or a sweep grid, whose rationals
     need more than 10000 bits over one common denominator is refused (exit 2).
     """
+    # This docstring is the CLI's help.  ``argv`` defaults to sys.argv[1:], and
+    # ``prog_name``, the name the help and --version print, to the script's name.
+    try:
+        _run(prog_name or os.path.basename(sys.argv[0]), sys.argv[1:] if argv is None else argv)
+    # the one validation boundary: a usage error or the library's input error ends in
+    # exit 2 with one `error:` line on stderr; any other exception propagates
+    except (UsageError, *INPUT_ERRORS) as exc:
+        _echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head -1`): exit 1, and no traceback at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
 
 
-@main.command()
-@param_options
-@click.option("--levels", "count", type=click.IntRange(min=1, max=MAX_LEVELS), default=30,
-              show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def classify(alpha0, alpha1, alphas, lam, count, fmt):
+def _run(prog: str, args: list[str]) -> None:
+    group = (prog, main.__doc__, (VERSION, HELP))
+    if not args:  # bare `cext-osc`: the help, on stderr, with the exit code of a usage error
+        _echo(_help(*group, COMMANDS), err=True)
+        sys.exit(EXIT_INVALID)
+    rest = _parse(*group, args, COMMANDS)[1]
+    if not rest:
+        raise UsageError("Missing command.")
+    name, *args = rest
+    if name not in COMMANDS:
+        if name[:1] and not name[:1].isalnum():  # `-- --help`: read again as the group's options
+            _parse(*group, rest, COMMANDS)
+        raise _no_such("command", name, COMMANDS)
+    fn, options = COMMANDS[name]
+    o, extra = _parse(f"{prog} {name}", fn.__doc__, options, args)
+    if extra:
+        s = "s" * (len(extra) > 1)
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    fn(o)
+
+
+@command(*POINT,
+         Option("--levels", "count", "INTEGER RANGE", 30, show_default=True,
+                bounds=(1, MAX_LEVELS)),
+         Option("--format", "fmt", "[json|text]", "json"))
+def classify(o):
     """Classify the spectrum type of a parameter point."""
-    p = _collect_params(lam, alpha0, alpha1, alphas)
-    rep = classification_report(p, count)
-    if fmt == "json":
-        click.echo(json.dumps(rep, indent=2))
+    p = _collect_params(o)
+    rep = classification_report(p, o.count)
+    if o.fmt == "json":
+        _echo(json.dumps(rep, indent=2))
     else:
         label = rep["spectrum_type"]["label"] if rep["spectrum_type"] else "(no named taxonomy)"
-        click.echo(f"alphas = ({', '.join(str(a) for a in p.alphas)})")
-        click.echo(f"type: {label}")
-        click.echo(f"multiplicities: {rep['descriptor']['multiplicities']}")
-        click.echo(f"susy window: {rep['susy_window']}")
+        _echo(f"alphas = ({', '.join(str(a) for a in p.alphas)})")
+        _echo(f"type: {label}")
+        _echo(f"multiplicities: {rep['descriptor']['multiplicities']}")
+        _echo(f"susy window: {rep['susy_window']}")
 
 
-@main.command()
-@param_options
-@click.option("--count", type=click.IntRange(min=1, max=MAX_LEVELS), default=12, show_default=True)
-def spectrum(alpha0, alpha1, alphas, lam, count):
+@command(*POINT, Option("--count", "count", "INTEGER RANGE", 12, show_default=True,
+                         bounds=(1, MAX_LEVELS)))
+def spectrum(o):
     """Print the level table: index, subspace, exact and float energy."""
-    p = _collect_params(lam, alpha0, alpha1, alphas)
+    p = _collect_params(o)
     # the whole table is built before any of it is printed, so an error prints none of it
     lines = [f"{'n':>4} {'sub':>4} {'energy':>12} {'float':>14}"]
-    for n in range(count):
+    for n in range(o.count):
         e = p.energy(n)
         lines.append(f"{n:>4} {n % p.lam:>4} {str(e):>12} {_float(e):>14.6f}")
-    click.echo("\n".join(lines))
+    _echo("\n".join(lines))
 
 
-@main.command()
-@param_options
-@click.option("--truncation", "trunc", type=click.IntRange(max=10**6), default=60,
-              envvar="CEXT_OSC_DEFAULT_TRUNCATION", help="matrix truncation K")
-# projection_shift_identity refuses a tol outside [0, inf) before anything is printed
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-def susy(alpha0, alpha1, alphas, lam, trunc, tol):
+@command(*POINT,
+         Option("--truncation", "trunc", "INTEGER RANGE", 60, "matrix truncation K",
+                bounds=(None, 10**6), envvar="CEXT_OSC_DEFAULT_TRUNCATION"),
+         # projection_shift_identity refuses a tol outside [0, inf) before anything is printed
+         Option("--tol", "tol", "FLOAT", 1e-12, show_default=True))
+def susy(o):
     """Build and verify the supersymmetric hierarchy at a parameter point."""
     from .susy import (build_hierarchy, check_interlacing, projection_shift_identity,
                        shift_flags, superalgebra_gap)
-    p = _collect_params(lam, alpha0, alpha1, alphas)
-    hier = build_hierarchy(p, trunc)
+    p = _collect_params(o)
+    hier = build_hierarchy(p, o.trunc)
     # decided in integers, so max_residual reads exactly 0.0 on a passing point
     gap = superalgebra_gap(hier)
     shift_exact, periodic = shift_flags(hier)
-    passed = gap < tol and shift_exact and periodic
-    interlaced = check_interlacing(hier, trunc - p.lam)
-    proj = projection_shift_identity(hier, tol)
+    passed = gap < o.tol and shift_exact and periodic
+    interlaced = check_interlacing(hier, o.trunc - p.lam)
+    proj = projection_shift_identity(hier, o.tol)
     out = _base_report(p)
     out["susy"] = {
         "omegas": [str(w) for w in hier.omegas],
@@ -236,10 +375,10 @@ def susy(alpha0, alpha1, alphas, lam, trunc, tol):
         "hierarchy_shift_exact": shift_exact,
         "interlacing": interlaced,
         "projection_shift_identity": proj,
-        "truncation": trunc,
-        "tol": tol,
+        "truncation": o.trunc,
+        "tol": o.tol,
     }
-    click.echo(json.dumps(out, indent=2))
+    _echo(json.dumps(out, indent=2))
     if not (passed and interlaced and proj):
         sys.exit(EXIT_VERIFY_FAIL)
 
@@ -272,27 +411,27 @@ def _grid_points(spec: str):
                 yield {"alpha0": str(a0), "alpha1": str(a1), "error": str(exc)}
 
 
-@main.command()
-@click.option("--grid", default=None, help="a0min:a0max:step,a1min:a1max:step")
-@click.option("--random", "n_random", type=click.IntRange(min=1), help="number of random points")
-@click.option("--seed", type=int, default=0, show_default=True)
-def sweep(grid, n_random, seed):
+@command(Option("--grid", "grid", help="a0min:a0max:step,a1min:a1max:step"),
+         Option("--random", "n_random", "INTEGER RANGE", help="number of random points",
+                bounds=(1, None)),
+         Option("--seed", "seed", "INTEGER", 0, show_default=True))
+def sweep(o):
     """Classify many lambda=3 points, JSON-lines output plus a summary line."""
     from .spectrum import classify3, oracle_agrees, random_admissible_params
-    if (grid is None) == (n_random is None):
+    if (o.grid is None) == (o.n_random is None):
         raise InadmissibleParams("give exactly one of --grid / --random")
     # one pass: each point is drawn or stepped, classified and printed before the next
-    if grid is not None:
-        points = _grid_points(grid)
+    if o.grid is not None:
+        points = _grid_points(o.grid)
     else:
-        rng = random.Random(seed)
-        points = (random_admissible_params(rng) for _ in range(n_random))
+        rng = random.Random(o.seed)
+        points = (random_admissible_params(rng) for _ in range(o.n_random))
     histogram: dict[str, int] = {}
     count = disagreements = 0
     for p in points:
         count += 1
         if isinstance(p, dict):
-            click.echo(json.dumps(p))
+            _echo(json.dumps(p))
             continue
         t = classify3(p)
         agrees = oracle_agrees(p, t)
@@ -301,44 +440,43 @@ def sweep(grid, n_random, seed):
         histogram[t.label] = histogram.get(t.label, 0) + 1
         if not agrees:
             disagreements += 1
-        click.echo(json.dumps(line))
+        _echo(json.dumps(line))
     summary = {
         "summary": True,
         "points": count,
         "labels": dict(sorted(histogram.items())),
         "oracle_disagreements": disagreements,
     }
-    click.echo(json.dumps(summary))
+    _echo(json.dumps(summary))
     if disagreements:
         sys.exit(EXIT_VERIFY_FAIL)
 
 
-@main.command()
-@param_options
-@click.option("--levels", "count", type=click.IntRange(min=1, max=MAX_LEVELS), default=18,
-              show_default=True, help="levels drawn per column")
-@click.option("--out", type=click.Path(), default=None, help="write SVG here")
-@click.option("--ascii", "ascii_mode", is_flag=True, help="print an ASCII diagram")
-@click.option("--susy", "susy_mode", is_flag=True,
-              help="draw the hierarchy members instead of the Fock columns")
-def diagram(alpha0, alpha1, alphas, lam, count, out, ascii_mode, susy_mode):
+@command(*POINT,
+         Option("--levels", "count", "INTEGER RANGE", 18, "levels drawn per column",
+                show_default=True, bounds=(1, MAX_LEVELS)),
+         Option("--out", "out", "PATH", help="write SVG here"),
+         Option("--ascii", "ascii_mode", "", False, "print an ASCII diagram"),
+         Option("--susy", "susy_mode", "", False,
+                "draw the hierarchy members instead of the Fock columns"))
+def diagram(o):
     """Emit a level diagram (SVG file or ASCII on stdout)."""
     from .render import diagram_spec, render_ascii, render_svg
-    spec = diagram_spec(_collect_params(lam, alpha0, alpha1, alphas), count, susy_mode)
-    if ascii_mode:
-        click.echo(render_ascii(spec))
+    spec = diagram_spec(_collect_params(o), o.count, o.susy_mode)
+    if o.ascii_mode:
+        _echo(render_ascii(spec))
         return
     svg = render_svg(spec)
-    if out is None:
-        click.echo(svg)
+    if o.out is None:
+        _echo(svg)
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(o.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
-        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
-    click.echo(f"wrote {out}")
+        raise _invalid("--out", f"cannot write {o.out}: {exc.strerror}") from exc
+    _echo(f"wrote {o.out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m cext_osc.cli")

@@ -1,5 +1,9 @@
+import io
 import math
+import os
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -86,3 +90,80 @@ def random_susy_params(rng, lam=3, max_numer=24, max_denom=8):
     total = sum(raw)
     omegas = [lam * r / total for r in raw]
     return new_params(lam, [w - 1 for w in omegas[:-1]])
+
+
+# the name the help and --version print when the CLI runs as `python -m cext_osc.cli`
+PROG = "python -m cext_osc.cli"
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as a terminal shows them
+    exception: BaseException | None
+    exc_info: tuple | None
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+    @property
+    def stderr_bytes(self) -> bytes:
+        return self.stderr.encode()
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies each write to a shared ``output``."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+def _set_env(values):
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
+class Runner:
+    """Runs the CLI in this process with stdout and stderr captured.
+
+    ``invoke(main, args)`` calls ``main(args, prog_name=...)`` with ``env`` applied to
+    ``os.environ`` (None unsets a name) and restores both afterwards.  A ``SystemExit``
+    gives the exit code, and a non-zero one is kept as ``exception``; any other
+    exception gives exit code 1 and is kept, or is re-raised if ``catch_exceptions``
+    is false.
+    """
+
+    def invoke(self, main, args=(), env=None, catch_exceptions=True, prog_name=PROG):
+        env = env or {}
+        saved_env = {name: os.environ.get(name) for name in env}
+        saved_streams = sys.stdout, sys.stderr
+        output = io.StringIO()
+        sys.stdout, sys.stderr = _Tee(output), _Tee(output)
+        _set_env(env)
+        exit_code, exception, exc_info = 0, None, None
+        try:
+            main(list(args), prog_name=prog_name)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            if exit_code:
+                exception, exc_info = exc, sys.exc_info()
+        except Exception as exc:
+            if not catch_exceptions:
+                raise
+            exit_code, exception, exc_info = 1, exc, sys.exc_info()
+        finally:
+            stdout, stderr = sys.stdout.getvalue(), sys.stderr.getvalue()
+            sys.stdout, sys.stderr = saved_streams
+            _set_env(saved_env)
+        return CliResult(exit_code, stdout, stderr, output.getvalue(), exception, exc_info)

@@ -6,9 +6,10 @@ contract::
     python3 tests/make_golden.py
 
 Each case runs ``python -m cext_osc.cli`` in a fresh process and records its
-exit code and stdout: non-empty stdout as ``tests/golden/<name>.out``, a
-large one as its sha256 and line count, an empty one as nothing.  The cases
-and what was recorded go to ``tests/golden/cases.json``.  The test suite
+exit code, stdout and stderr: non-empty stdout as ``tests/golden/<name>.out``,
+a large one as its sha256 and line count, an empty one as nothing; non-empty
+stderr as ``tests/golden/<name>.err``.  The cases and what was recorded go to
+``tests/golden/cases.json``.  The test suite
 never runs this script; a change that rewrites a golden file names the file
 and the reason in CHANGES.md.
 """
@@ -81,6 +82,8 @@ CASES: list[tuple[str, list[str], dict[str, str]]] = [
     *((f"help_{command}", [command, "--help"], {"COLUMNS": "80"})
       for command in ("classify", "spectrum", "susy", "sweep", "diagram")),
     ("version", ["--version"], {}),
+    # bare `cext-osc` is not a request for help: the help goes to stderr, with exit 2
+    ("bare", [], {"COLUMNS": "80"}),
 ]
 
 
@@ -97,12 +100,15 @@ def record(name: str, args: list[str], env: dict[str, str]) -> dict:
     elif out:
         case["file"] = f"{name}.out"
         (GOLDEN / case["file"]).write_bytes(out)
+    if proc.stderr:
+        case["err_file"] = f"{name}.err"
+        (GOLDEN / case["err_file"]).write_bytes(proc.stderr)
     return case
 
 
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.glob("*.out"):
+    for old in [*GOLDEN.glob("*.out"), *GOLDEN.glob("*.err")]:
         old.unlink()
     cases = [record(*case) for case in CASES]
     lines = ",\n".join(json.dumps(case) for case in cases)

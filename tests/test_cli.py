@@ -1,24 +1,25 @@
 import json
 import os
 import select
+import signal
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import cext_osc
 from cext_osc import new_params
 from cext_osc.algebra import MAX_EXPONENT
 from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, MAX_BITS, SCHEMA_VERSION, main
 from cext_osc.render import diagram_spec, render_ascii
+from conftest import PROG, Runner
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def run(runner, *args, env=None):
@@ -89,7 +90,7 @@ def fresh_cli(args, script="from cext_osc.cli import main; main()", **kwargs):
     (["diagram", "--levels", "100001", "--susy", "--ascii"], None),
 ])
 def test_invalid_input_exits_2(runner, args, env):
-    # click's usage errors and the library's input errors end the same way
+    # usage errors and the library's input errors end the same way
     res = run(runner, *args, env=env)
     assert res.exit_code == EXIT_INVALID
     assert res.stdout == ""
@@ -98,10 +99,103 @@ def test_invalid_input_exits_2(runner, args, env):
 
 
 def test_bare_command_prints_help(runner):
-    # not an input error: the exit code is click's, which differs by version
+    # not an input error, but its exit code: the help goes to stderr, not stdout
     res = runner.invoke(main, [])
+    assert res.exit_code == EXIT_INVALID
+    assert res.stdout == ""
     assert "Commands:" in res.output
     assert "error:" not in res.output.lower()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["classify", "--alph", "1/2"],
+     "No such option '--alph'. (Did you mean one of: '--alpha', '--alpha0', '--alpha1'?)"),
+    (["susy", "--tole=1"], "No such option '--tole'. Did you mean '--tol'?"),
+    # '-xy' is read as the short options -x and -y, of which there are none
+    (["classify", "-xy"], "No such option '-x'."),
+    # a word after `--` that looks like an option is read again as one of the group's
+    (["--", "-x"], "No such option '-x'."),
+    (["clasify"], "No such command 'clasify'. Did you mean 'classify'?"),
+    (["--vers"], "No such option '--vers'. Did you mean '--version'?"),
+    (["--"], "Missing command."),
+    (["spectrum", "x", "y"], "Got unexpected extra arguments (x y)"),
+    # terminal codes are dropped from echoed text that does not go to a terminal
+    (["spectrum", "\x1b[31mx"], "Got unexpected extra argument (x)"),
+    (["spectrum", "--", "--count"], "Got unexpected extra argument (--count)"),
+    (["susy", "--tol"], "Option '--tol' requires an argument."),
+    (["diagram", "--ascii=yes"], "Option '--ascii' does not take a value."),
+    (["classify", "--lambda", "three"],
+     "Invalid value for '--lambda': 'three' is not a valid integer."),
+    (["susy", "--tol", "small"], "Invalid value for '--tol': 'small' is not a valid float."),
+    # options are checked in the order first given
+    (["classify", "--format", "xml", "--levels", "0"],
+     "Invalid value for '--format': 'xml' is not one of 'json', 'text'."),
+])
+def test_usage_error_wording(runner, args, message):
+    res = run(runner, *args)
+    assert res.exit_code == EXIT_INVALID
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    # a value may start with "-", and may follow "="
+    ["classify", "--alpha0", "-1/2", "--alpha1", "1/3"],
+    ["classify", "--alpha0=-1/2", "--alpha1=1/3"],
+    # a repeated option keeps its last value
+    ["classify", "--alpha0", "5", "--alpha1", "1/3", "--alpha0", "-1/2"],
+    ["classify", "--lambda=3", "--alpha", "-1/2", "--alpha=1/3"],
+])
+def test_option_forms(runner, args):
+    res = run(runner, *args)
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["parameters"]["alphas"] == ["-1/2", "1/3", "1/6"]
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--levels", "0", "--help"],
+    ["sweep", "--random", "x", "--help", "--seed", "y"],
+    ["diagram", "extra", "--help"],
+])
+def test_help_acts_first_wherever_it_stands(runner, args):
+    res = run(runner, *args)
+    assert res.exit_code == 0
+    assert res.stdout.startswith(f"Usage: {PROG} {args[0]} [OPTIONS]\n")
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_width_does_not_follow_the_terminal(columns):
+    env = {**os.environ, "COLUMNS": columns, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "cext_osc.cli", "--help"], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "golden" / "help.out").read_bytes()
+
+
+def test_closed_pipe_exits_1_quietly():
+    # `cext-osc sweep --random 100000 | head -1`: the reader leaves after one line
+    proc = fresh_cli(["sweep", "--random", "100000"])
+    try:
+        assert json.loads(proc.stdout.readline())["label"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+    assert err == ""
+
+
+def test_interrupt_exits_1_with_one_line():
+    proc = fresh_cli(["sweep", "--random", "100000"])
+    try:
+        assert json.loads(proc.stdout.readline())["label"]
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == "\nAborted!\n"
 
 
 def _raise_value_error(*args):
@@ -237,6 +331,11 @@ class TestSusy:
         res = run(runner, "susy", "--alpha0", "0", "--alpha1", "0",
                   env={"CEXT_OSC_DEFAULT_TRUNCATION": "24"})
         assert json.loads(res.output)["susy"]["truncation"] == 24
+
+    def test_empty_truncation_env_var_counts_as_unset(self, runner):
+        res = run(runner, "susy", "--alpha0", "0", "--alpha1", "0",
+                  env={"CEXT_OSC_DEFAULT_TRUNCATION": ""})
+        assert json.loads(res.output)["susy"]["truncation"] == 60
 
     def test_truncation_option_wins(self, runner):
         res = run(runner, "susy", "--alpha0", "0", "--alpha1", "0",

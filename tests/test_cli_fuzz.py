@@ -9,10 +9,10 @@ prints JSON and ends with 0 or 3; and end an invalid input with one
 import json
 from fractions import Fraction
 
-from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
 from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, main
+from conftest import Runner
 
 JUNK = ["nan", "inf", "-inf", "1/0", "abc", "", "1e400", "-0", "2.5", "1//2"]
 
@@ -117,7 +117,7 @@ def _no_constants(name):
 @given(commands())
 def test_cli_contract(case):
     args, json_out = case
-    res = CliRunner().invoke(main, args)
+    res = Runner().invoke(main, args)
     event(f"{args[0]} exits {res.exit_code}")
     if res.exception is not None:
         assert isinstance(res.exception, SystemExit), res.exc_info

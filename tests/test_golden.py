@@ -1,9 +1,9 @@
-"""The CLI contract: stdout and exit code of the golden corpus, byte for byte.
+"""The CLI contract: stdout, stderr and exit code of the golden corpus, byte for byte.
 
 ``tests/golden/cases.json`` lists each command with what it produced when the
 corpus was recorded by ``tests/make_golden.py``.  The commands run here in
-process, through click's test runner, with ``CEXT_OSC_DEFAULT_TRUNCATION``
-unset unless the case sets it.
+process, through the test runner of ``conftest.py``, with
+``CEXT_OSC_DEFAULT_TRUNCATION`` unset unless the case sets it.
 """
 
 import hashlib
@@ -11,26 +11,20 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from cext_osc.cli import main
+from conftest import PROG, Runner
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# the name the help and --version print, as tests/make_golden.py runs the CLI
-PROG = "python -m cext_osc.cli"
-# a process run with COLUMNS=80 wraps its help at 78 columns; click's runner would force 80
-HELP_WIDTH = 78
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_golden(case, tmp_path):
+def test_golden(case, tmp_path, monkeypatch):
     env = {"CEXT_OSC_DEFAULT_TRUNCATION": None, **case["env"]}
-    runner = CliRunner()
-    # relative --out paths resolve in an empty directory
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        res = runner.invoke(main, case["args"], env=env, prog_name=PROG,
-                            terminal_width=HELP_WIDTH)
+    # relative --out paths resolve in an empty directory; PROG is how make_golden.py runs it
+    monkeypatch.chdir(tmp_path)
+    res = Runner().invoke(main, case["args"], env=env, prog_name=PROG)
     assert res.exit_code == case["exit_code"], res.stderr
     out = res.stdout_bytes
     if "sha256" in case:
@@ -40,3 +34,5 @@ def test_golden(case, tmp_path):
         assert out == (GOLDEN / case["file"]).read_bytes()
     else:
         assert out == b""
+    err = (GOLDEN / case["err_file"]).read_bytes() if "err_file" in case else b""
+    assert res.stderr_bytes == err

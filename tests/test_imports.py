@@ -16,9 +16,9 @@ import pytest
 import cext_osc
 from cext_osc import susy
 from cext_osc.cli import EXIT_INVALID, main
+from conftest import PROG, Runner
 
 SRC = str(Path(cext_osc.__file__).resolve().parents[1])
-PROG = "python -m cext_osc.cli"
 # Runs the CLI as `python -m cext_osc.cli` would, then reports on a last
 # stderr line whether NumPy was loaded.  With "block" first, NumPy is made
 # unimportable: `import numpy` raises ImportError.
@@ -32,17 +32,20 @@ finally:
     print(sys.modules.get("numpy") is not None, file=sys.stderr)
 """
 # Runs the CLI like RUN_CLI, then reports on a last stderr line, as JSON, the
-# library modules it loaded.
+# library modules it loaded, and click if it was loaded.
 REPORT_MODULES = """
 import json, runpy, sys
 try:
     runpy.run_module("cext_osc.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("cext_osc."))),
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m.startswith("cext_osc.") or m.partition(".")[0] == "click")),
           file=sys.stderr)
 """
+# RUN_CLI with click made unimportable, as "block" makes NumPy
+RUN_WITHOUT_CLICK = 'import sys\nsys.modules["click"] = None' + RUN_CLI
 POINT = ["--alpha0", "0", "--alpha1", "1/2"]
-# what each command loads besides the CLI itself
+# what each command loads besides the CLI itself; none loads click
 MODULES_LOADED = [
     (["classify", *POINT], ["cext_osc.algebra", "cext_osc.spectrum"]),
     (["spectrum", *POINT], ["cext_osc.algebra"]),
@@ -90,8 +93,7 @@ EXACT_COMMANDS = [
 
 
 def python(*args, **kwargs):
-    # click wraps the help to COLUMNS; in_process sets the same width
-    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=120, **kwargs)
@@ -105,18 +107,12 @@ def cli_process(args, block_numpy=False):
 
 
 @pytest.fixture
-def in_process(capsys, monkeypatch):
-    """Stdout of ``main`` run on the same arguments in this process.
-
-    Not CliRunner: it wraps the help at 80 columns, which no terminal gets.
-    """
-    monkeypatch.setenv("COLUMNS", "80")
-
+def in_process():
+    """Stdout of ``main`` run on the same arguments in this process."""
     def run(args):
-        with pytest.raises(SystemExit) as done:
-            main.main(args, prog_name=PROG)
-        assert done.value.code == 0
-        return capsys.readouterr().out
+        res = Runner().invoke(main, args, prog_name=PROG)
+        assert res.exit_code == 0
+        return res.stdout
     return run
 
 
@@ -163,6 +159,14 @@ def test_exact_command_runs_without_numpy(args, in_process):
     assert code == 0, stderr
     assert not loaded
     assert stdout == in_process(args)
+
+
+@pytest.mark.parametrize("args", [["classify", *POINT], ["susy", *POINT], ["--help"]],
+                         ids=" ".join)
+def test_command_runs_without_click(args, in_process):
+    proc = python("-c", RUN_WITHOUT_CLICK, "allow", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == in_process(args)
 
 
 def limit_address_space():

@@ -8,6 +8,7 @@ for degeneracy detection and region classification are decidable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -16,6 +17,11 @@ from typing import Sequence
 
 RationalLike = Fraction | int | str
 MAX_EXPONENT = 3000  # largest |exponent| of a decimal string; 10**3000 has 9966 bits
+# The strings parse_rational takes: an optional sign, ASCII digits, then '/q' or an optional
+# decimal part and exponent.  This is Fraction's grammar less what only some Python versions
+# accept ('_' in numbers, blanks around '/') and less digits other than 0-9.
+_RATIONAL = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*"
+                       r"(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE](?P<exp>[-+]?[0-9]+))?)")
 
 
 class ExistenceViolation(ValueError):
@@ -85,7 +91,9 @@ class Ladder:
         return [(nums[n % lam] + n // lam * step) / d for n in range(count)]
 
     def gap(self, other: Ladder, cut: int) -> Fraction:
-        """Exact max |L(n) - other(n)| over n < cut; ``ValueError`` if the lengths differ."""
+        """Exact max |L(n) - other(n)| over n < cut; ValueError if lengths differ or cut < 1."""
+        if cut < 1:  # the window would be empty, and any two ladders would pass
+            raise ValueError(f"cut must be >= 1, got {cut}")
         lam = len(self.firsts)
         if len(other.firsts) != lam:  # the shorter would compare fewer residues, and pass
             raise ValueError(f"ladders of {lam} and {len(other.firsts)} firsts")
@@ -241,12 +249,17 @@ def alpha_to_kappa(p: AlgebraParams) -> KappaPair:
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or finite-decimal strings without float round-off.
 
-    A decimal exponent beyond +-MAX_EXPONENT is refused before 10**exponent is built.
+    ``_RATIONAL`` is the grammar, the same on every supported Python; blanks may surround
+    the text.  A decimal exponent beyond +-MAX_EXPONENT is refused before 10**exponent is built.
     """
-    _, marker, exponent = text.lower().partition("e")
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise InadmissibleParams(f"cannot parse rational {text!r}")
+    exponent = (match["exp"] or "").lstrip("+-").lstrip("0")
+    # its length first: int() of a 5000-digit exponent is slow, or refused by Python
+    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+        raise InadmissibleParams(f"the exponent of {text!r} is beyond +-{MAX_EXPONENT}")
     try:
-        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
-            return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(match[0])
+    except (ValueError, ZeroDivisionError) as exc:  # a value past the int-to-str limit, or 'p/0'
         raise InadmissibleParams(f"cannot parse rational {text!r}") from exc
-    raise InadmissibleParams(f"the exponent of {text!r} is beyond +-{MAX_EXPONENT}")

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import sys
+from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -209,20 +210,13 @@ def _collect_params(o: SimpleNamespace) -> AlgebraParams:
         raise InadmissibleParams(f"give the point by --alpha or by {given[0]}, not both")
     if lam == 2 and "--alpha1" in given:
         raise InadmissibleParams("lambda=2 takes --alpha0 only, not --alpha1")
-    if o.alphas:
-        head = [parse_rational(a) for a in o.alphas]
-        if len(head) != lam - 1:
-            raise InadmissibleParams(
-                f"--alpha given {len(head)} times, lambda={lam} needs {lam - 1}"
-            )
-    else:
-        head = [parse_rational(o.alpha0)]
-        if lam >= 3:
-            head.append(parse_rational(o.alpha1))
-        if lam > 3:
-            raise InadmissibleParams(
-                f"lambda={lam} needs {lam - 1} parameters; use repeated --alpha"
-            )
+    # parsed before any count is checked, so a bad --alpha0 is reported first at any lambda
+    head = [parse_rational(a) for a in o.alphas or (o.alpha0, o.alpha1)[:max(lam - 1, 1)]]
+    # below lambda = 2 no count is right: new_params refuses the lambda itself
+    if lam >= 2 and len(head) != lam - 1:
+        raise InadmissibleParams(f"--alpha given {len(head)} times, lambda={lam} needs {lam - 1}"
+                                 if o.alphas else
+                                 f"lambda={lam} needs {lam - 1} parameters; use repeated --alpha")
     # before new_params, whose error message would print the point's values
     _refuse_beyond_cap(head, "the point")
     return new_params(lam, head)
@@ -237,7 +231,7 @@ def _base_report(p: AlgebraParams) -> dict:
     }
 
 
-def classification_report(p: AlgebraParams, count: int = 30) -> dict:
+def classification_report(p: AlgebraParams, count: int) -> dict:
     """Full classification report; oracle descriptor for lambda != 3."""
     from .spectrum import (NotPeriodic, classify3, degeneracy_pattern, detect_period,
                            oracle_agrees, susy_window)
@@ -281,8 +275,27 @@ def main(argv: list[str] | None = None, prog_name: str | None = None) -> None:
     """
     # This docstring is the CLI's help.  ``argv`` defaults to sys.argv[1:], and
     # ``prog_name``, the name the help and --version print, to the script's name.
+    prog = prog_name or os.path.basename(sys.argv[0])
+    group = (prog, main.__doc__, (VERSION, HELP))
+    args = sys.argv[1:] if argv is None else argv
     try:
-        _run(prog_name or os.path.basename(sys.argv[0]), sys.argv[1:] if argv is None else argv)
+        if not args:  # bare `cext-osc`: the help, on stderr, with the exit code of a usage error
+            _echo(_help(*group, COMMANDS), err=True)
+            sys.exit(EXIT_INVALID)
+        rest = _parse(*group, args, COMMANDS)[1]
+        if not rest:
+            raise UsageError("Missing command.")
+        name, *args = rest
+        if name not in COMMANDS:
+            if name[:1] and not name[:1].isalnum():  # `-- --help`: reread as the group's options
+                _parse(*group, rest, COMMANDS)
+            raise _no_such("command", name, COMMANDS)
+        fn, options = COMMANDS[name]
+        o, extra = _parse(f"{prog} {name}", fn.__doc__, options, args)
+        if extra:
+            s = "s" * (len(extra) > 1)
+            raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+        fn(o)
     # the one validation boundary: a usage error or the library's input error ends in
     # exit 2 with one `error:` line on stderr; any other exception propagates
     except (UsageError, *INPUT_ERRORS) as exc:
@@ -295,27 +308,6 @@ def main(argv: list[str] | None = None, prog_name: str | None = None) -> None:
     except KeyboardInterrupt:
         _echo("\nAborted!", err=True)
         sys.exit(1)
-
-
-def _run(prog: str, args: list[str]) -> None:
-    group = (prog, main.__doc__, (VERSION, HELP))
-    if not args:  # bare `cext-osc`: the help, on stderr, with the exit code of a usage error
-        _echo(_help(*group, COMMANDS), err=True)
-        sys.exit(EXIT_INVALID)
-    rest = _parse(*group, args, COMMANDS)[1]
-    if not rest:
-        raise UsageError("Missing command.")
-    name, *args = rest
-    if name not in COMMANDS:
-        if name[:1] and not name[:1].isalnum():  # `-- --help`: read again as the group's options
-            _parse(*group, rest, COMMANDS)
-        raise _no_such("command", name, COMMANDS)
-    fn, options = COMMANDS[name]
-    o, extra = _parse(f"{prog} {name}", fn.__doc__, options, args)
-    if extra:
-        s = "s" * (len(extra) > 1)
-        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
-    fn(o)
 
 
 @command(*POINT,
@@ -350,7 +342,8 @@ def spectrum(o):
 
 
 @command(*POINT,
-         Option("--truncation", "trunc", "INTEGER RANGE", 60, "matrix truncation K",
+         Option("--truncation", "trunc", "INTEGER RANGE", 60,
+                "K, the level window n < K of the exact checks; each verdict holds for every n",
                 bounds=(None, 10**6), envvar="CEXT_OSC_DEFAULT_TRUNCATION"),
          # projection_shift_identity refuses a tol outside [0, inf) before anything is printed
          Option("--tol", "tol", "FLOAT", 1e-12, show_default=True))
@@ -426,7 +419,7 @@ def sweep(o):
     else:
         rng = random.Random(o.seed)
         points = (random_admissible_params(rng) for _ in range(o.n_random))
-    histogram: dict[str, int] = {}
+    labels = Counter()
     count = disagreements = 0
     for p in points:
         count += 1
@@ -435,16 +428,14 @@ def sweep(o):
             continue
         t = classify3(p)
         agrees = oracle_agrees(p, t)
-        line = {"alpha0": str(p.alphas[0]), "alpha1": str(p.alphas[1]),
-                "label": t.label, "oracle_agrees": agrees}
-        histogram[t.label] = histogram.get(t.label, 0) + 1
-        if not agrees:
-            disagreements += 1
-        _echo(json.dumps(line))
+        labels[t.label] += 1
+        disagreements += not agrees
+        _echo(json.dumps({"alpha0": str(p.alphas[0]), "alpha1": str(p.alphas[1]),
+                          "label": t.label, "oracle_agrees": agrees}))
     summary = {
         "summary": True,
         "points": count,
-        "labels": dict(sorted(histogram.items())),
+        "labels": dict(sorted(labels.items())),
         "oracle_disagreements": disagreements,
     }
     _echo(json.dumps(summary))
@@ -463,16 +454,13 @@ def diagram(o):
     """Emit a level diagram (SVG file or ASCII on stdout)."""
     from .render import diagram_spec, render_ascii, render_svg
     spec = diagram_spec(_collect_params(o), o.count, o.susy_mode)
-    if o.ascii_mode:
-        _echo(render_ascii(spec))
-        return
-    svg = render_svg(spec)
-    if o.out is None:
-        _echo(svg)
+    text = (render_ascii if o.ascii_mode else render_svg)(spec)
+    if o.ascii_mode or o.out is None:
+        _echo(text)
         return
     try:
         with open(o.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+            fh.write(text)
     except OSError as exc:
         raise _invalid("--out", f"cannot write {o.out}: {exc.strerror}") from exc
     _echo(f"wrote {o.out}")

@@ -96,15 +96,21 @@ def render_svg(spec: DiagramSpec) -> str:
 
 
 def render_ascii(spec: DiagramSpec) -> str:
-    energies = sorted({e for col in spec.columns for _, e in col}, reverse=True)
     colw = 10
-    # the first level index of each energy in each column, so each row is one lookup per column
+    # rows are keyed by d * energy, an integer, d the lcm of the diagram's few denominators:
+    # sorting and hashing the exact energies themselves cost most of the drawing
+    d = math.lcm(*{e.denominator for col in spec.columns for _, e in col})
+    energies = {}  # key -> its energy, kept so that no row rebuilds (and reduces) a Fraction
+    # the first level index of each key in each column, so each row is one lookup per column
     firsts = [{} for _ in spec.columns]
     for first, col in zip(firsts, spec.columns):
         for idx, e in col:
-            first.setdefault(e, idx)
+            key = e.numerator * (d // e.denominator)
+            first.setdefault(key, idx)
+            energies.setdefault(key, e)
     lines = [" " * 10 + "".join(f"{name:^{colw}}" for name in spec.column_names)]
-    for e in energies:
-        cells = (f"--{first[e]}--".center(colw) if e in first else " " * colw for first in firsts)
-        lines.append(f"{str(e):>9} " + "".join(cells).rstrip())
+    for key in sorted(energies, reverse=True):
+        cells = (f"--{first[key]}--".center(colw) if key in first else " " * colw
+                 for first in firsts)
+        lines.append(f"{str(energies[key]):>9} " + "".join(cells).rstrip())
     return "\n".join(lines)

@@ -199,25 +199,17 @@ def classify3(p: AlgebraParams) -> SpectrumType:
     n = -((B + 4 * d) // six)  # ceil((-4 - a1) / 6)
     on_b = (B + 4 * d) % six == 0
     s, off_c = divmod(A + 4 * d, six)
-    on_c = not off_c
-    if on_c and on_b:
-        _invariant(s - 1 - n >= 1, "III.abc: index m < 1")
-        return SpectrumType("III", "abc", m=s - 1 - n, n=n)
-    if on_c:
-        _invariant(s - n >= 1, "III.c: index m < 1")
-        return SpectrumType("III", "c", m=s - n, n=n)
-    if on_b:
-        _invariant(s - n >= 1, "III.b: index m < 1")
-        return SpectrumType("III", "b", m=s - n, n=n)
-    a_line = (6 * (s - n) - 2) * d - A
-    if B == a_line:
-        _invariant(s - n >= 1, "III.a: index m < 1")
-        return SpectrumType("III", "a", m=s - n, n=n)
-    if B < a_line:
-        _invariant(s - n >= 1, "III.2: index m < 1")
-        return SpectrumType("III", "2", m=s - n, n=n)
-    _invariant(s - n + 1 >= 1, "III.1: index m < 1")
-    return SpectrumType("III", "1", m=s - n + 1, n=n)
+    if not off_c:
+        variant, m = ("abc", s - 1 - n) if on_b else ("c", s - n)
+    elif on_b:
+        variant, m = "b", s - n
+    else:
+        a_line = (6 * (s - n) - 2) * d - A
+        variant = "a" if B == a_line else "2" if B < a_line else "1"
+        m = s - n + (variant == "1")
+    if m < 1:  # the message is built only when the invariant fails
+        raise InvariantViolation(f"III.{variant}: index m < 1")
+    return SpectrumType("III", variant, m=m, n=n)
 
 
 def representative_params(t: SpectrumType) -> AlgebraParams:

@@ -206,6 +206,14 @@ class TestLadder:
         one, other = Ladder((0, 1, 2), 3), Ladder((0, 1, 7), 3)
         assert one.gap(other, 2) == 0 and one.gap(other, 3) == 5
 
+    @pytest.mark.parametrize("cut", [0, -3])
+    def test_empty_window_rejected(self, cut):
+        # n < cut reads no level, so any two ladders would pass
+        with pytest.raises(ValueError, match=f"cut must be >= 1, got {cut}"):
+            Ladder((0, 1), 2).gap(Ladder((5, 7), 9), cut)
+        with pytest.raises(ValueError, match="cut must be >= 1"):
+            Ladder((0, 1), 2).gap(Ladder((0, 1), 2), cut)
+
     @pytest.mark.parametrize("lengths", [(2, 1), (1, 2), (3, 1)])
     def test_lengths_must_agree(self, lengths):
         # the shorter ladder would compare fewer residues, and pass
@@ -338,6 +346,9 @@ class TestRationalParsing:
         ("-7/2", Fraction(-7, 2)),
         ("4", Fraction(4)),
         ("0.25", Fraction(1, 4)),
+        ("+5", Fraction(5)), (" -3/4\t", Fraction(-3, 4)), ("\u00a01/3\u2003", Fraction(1, 3)),
+        (".5", Fraction(1, 2)), ("5.", Fraction(5)), ("-.5e+2", Fraction(-50)),
+        ("007/010", Fraction(7, 10)), ("1E-0003", Fraction(1, 1000)),
     ])
     def test_exact(self, text, expected):
         assert parse_rational(text) == expected
@@ -345,6 +356,16 @@ class TestRationalParsing:
     def test_bad_input(self):
         with pytest.raises(InadmissibleParams):
             parse_rational("one half")
+
+    @pytest.mark.parametrize("text", [
+        # Fraction reads these on some Python versions only
+        "1_000", "1e1_0", "1 / 2", "1/ 2", "1 /2", "\u0661\u0662", "\uff11/2",
+        # and these on none
+        "", "+", ".", "1e", "1/", "/2", "1.5/2", "1/2e3", "0x10", "inf", "nan", "1/0", "--1",
+    ])
+    def test_grammar_refuses(self, text):
+        with pytest.raises(InadmissibleParams, match="cannot parse rational"):
+            parse_rational(text)
 
     @pytest.mark.parametrize("exponent", [MAX_EXPONENT, -MAX_EXPONENT])
     def test_exponent_at_cap(self, exponent):

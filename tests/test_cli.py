@@ -130,6 +130,21 @@ def test_bare_command_prints_help(runner):
     # options are checked in the order first given
     (["classify", "--format", "xml", "--levels", "0"],
      "Invalid value for '--format': 'xml' is not one of 'json', 'text'."),
+    # the point rule, in the order of its refusals
+    (["classify", "--alpha", "1", "--alpha0", "5"],
+     "give the point by --alpha or by --alpha0, not both"),
+    (["classify", "--lambda", "2", "--alpha0", "1/2", "--alpha1", "5"],
+     "lambda=2 takes --alpha0 only, not --alpha1"),
+    (["classify", "--lambda", "4", "--alpha", "1"], "--alpha given 1 times, lambda=4 needs 3"),
+    (["classify", "--lambda", "4"], "lambda=4 needs 3 parameters; use repeated --alpha"),
+    # the head is parsed before its length is checked
+    (["classify", "--lambda", "4", "--alpha0", "x"], "cannot parse rational 'x'"),
+    (["classify", "--lambda", "1"], "lambda must be >= 2, got 1"),
+    (["classify", "--lambda", "1", "--alpha0", "x"], "cannot parse rational 'x'"),
+    # a lambda below 2 is refused as such, not by the count of --alpha values
+    (["classify", "--lambda", "0", "--alpha", "1"], "lambda must be >= 2, got 0"),
+    (["classify", "--lambda", "-1", "--alpha", "1", "--alpha", "2"],
+     "lambda must be >= 2, got -1"),
 ])
 def test_usage_error_wording(runner, args, message):
     res = run(runner, *args)

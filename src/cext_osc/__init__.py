@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 # `fockrep` is not listed: callers write ``from cext_osc.fockrep import ...``.
 _MODULE_OF = {
     **dict.fromkeys((
-        "algebra", "AlgebraParams", "ExistenceViolation", "InadmissibleParams", "KappaPair",
-        "Ladder", "UnsupportedLambda", "WindowViolation", "alpha_to_kappa", "kappa_to_alpha",
-        "new_params",
+        "algebra", "AlgebraParams", "ExistenceViolation", "InadmissibleParams", "Ladder",
+        "UnsupportedLambda", "WindowViolation", "new_params",
     ), "algebra"),
     **dict.fromkeys((
         "spectrum", "DegeneracyPattern", "InvariantViolation", "NotPeriodic",

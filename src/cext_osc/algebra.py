@@ -153,7 +153,7 @@ class AlgebraParams:
         return tuple(Fraction(b, d) for b in accumulate(nums[:-1], initial=0))
 
     def structure_function(self, n: int) -> Fraction:
-        """F(n) = n + beta_{n mod lambda}; solves F(n+1) - F(n) = G(n), F(0) = 0."""
+        """F(n) = n + beta_{n mod lambda}: F(0) = 0, F(n+1) - F(n) = 1 + alpha_{n mod lambda}."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         return n + self.betas[n % self.lam]
@@ -161,12 +161,6 @@ class AlgebraParams:
     def structure_ladder(self) -> Ladder:
         """F as a ladder: firsts F(0), ..., F(lambda - 1), period lambda."""
         return Ladder(tuple(mu + b for mu, b in enumerate(self.betas)), Fraction(self.lam))
-
-    def g_function(self, n: int) -> Fraction:
-        """G(n) = 1 + alpha_{n mod lambda}, the deformed commutator eigenvalue."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return 1 + self.alphas[n % self.lam]
 
     def gamma_coeffs(self) -> tuple[Fraction, ...]:
         """Energy offsets per subspace: gamma_mu = (beta_mu + beta_{mu+1}) / 2.
@@ -215,35 +209,6 @@ def new_params(lam: int, alphas_head: Sequence[RationalLike]) -> AlgebraParams:
             f"expected {lam - 1} head parameters for lambda={lam}, got {len(head)}"
         )
     return AlgebraParams(alphas=head + (-sum(head, Fraction(0)),))
-
-
-@dataclass(frozen=True)
-class KappaPair:
-    """The complex constant kappa_1 (kappa_2 = kappa_1* implied), lambda = 3.
-
-    The imaginary part carries an irrational factor, so the stored field is
-    ``im_kappa1_sqrt3`` = sqrt(3) * Im(kappa_1), keeping the map to the
-    alpha parameters rational-exact.
-    """
-
-    re_kappa1: Fraction
-    im_kappa1_sqrt3: Fraction
-
-
-def kappa_to_alpha(k: KappaPair) -> AlgebraParams:
-    """alpha_0 = 2 Re k1, alpha_1 = -Re k1 - sqrt(3) Im k1 (lambda = 3)."""
-    a0 = 2 * k.re_kappa1
-    a1 = -k.re_kappa1 - k.im_kappa1_sqrt3
-    return new_params(3, [a0, a1])
-
-
-def alpha_to_kappa(p: AlgebraParams) -> KappaPair:
-    """Inverse of :func:`kappa_to_alpha`; defined for lambda = 3 only."""
-    if p.lam != 3:
-        raise UnsupportedLambda(f"kappa map requires lambda=3, got {p.lam}")
-    re = p.alphas[0] / 2
-    im_sqrt3 = -p.alphas[1] - re
-    return KappaPair(re_kappa1=re, im_kappa1_sqrt3=im_sqrt3)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -236,11 +236,11 @@ def classification_report(p: AlgebraParams, count: int) -> dict:
     from .spectrum import (NotPeriodic, classify3, degeneracy_pattern, detect_period,
                            oracle_agrees, susy_window)
     rep = _base_report(p)
-    groups = degeneracy_pattern(p, count).groups
-    rep["degeneracy_groups"] = [{"energy": str(e), "indices": list(idx)} for e, idx in groups]
+    pat = degeneracy_pattern(p, count)
+    rep["degeneracy_groups"] = [{"energy": str(e), "indices": list(idx)} for e, idx in pat.groups]
     rep["descriptor"] = {
-        "multiplicities": [len(idx) for _, idx in groups],
-        "index_order": [i for _, idx in groups for i in idx],
+        "multiplicities": list(pat.multiplicities),
+        "index_order": [i for _, idx in pat.groups for i in idx],
     }
     if p.lam == 3:
         t = classify3(p)

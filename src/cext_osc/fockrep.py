@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,42 +50,6 @@ def build_operators(p: AlgebraParams, trunc: int) -> OperatorSet:
 def _projector_sum(values, trunc: int) -> np.ndarray:
     """The diagonal of sum_mu values[mu] P_mu: level n gets values[n % lambda]."""
     return np.array(values, dtype=float)[np.arange(trunc) % len(values)]
-
-
-def normalization_constant(p: AlgebraParams, n: int) -> Fraction:
-    """Exact norm-squared of (a+)^n |0>: the product F(1) F(2) ... F(n)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    prod = Fraction(1)
-    for i in range(1, n + 1):
-        prod *= p.structure_function(i)
-    return prod
-
-
-def normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
-    """Closed-form normalization constant, the exp of :func:`log_normalization_constant_gamma`.
-
-    Agrees with the exact product to ~1e-10 relative; overflows a float from n = 171 on.
-    """
-    return math.exp(log_normalization_constant_gamma(p, n))
-
-
-def log_normalization_constant_gamma(p: AlgebraParams, n: int) -> float:
-    """Log of the normalization constant via gamma functions, at any lambda and finite at any n.
-
-    F(lambda j + mu) = lambda (j + F(mu) / lambda), so with n = lambda k + r the
-    product is lambda^n k! prod_{mu >= 1} Gamma(c_mu + F(mu)/lambda) / Gamma(F(mu)/lambda),
-    where c_mu = k + [mu <= r] counts the i <= n with i = mu mod lambda.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    lam = p.lam
-    k, r = divmod(n, lam)
-    log = n * math.log(lam) + math.lgamma(k + 1)
-    for mu in range(1, lam):
-        b = float(p.structure_function(mu) / lam)
-        log += math.lgamma(k + (mu <= r) + b) - math.lgamma(b)
-    return log
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> 
             for mu in range(lam)
         )
         names = tuple(f"F{mu}" for mu in range(lam))
-    lo = min(e for col in cols for _, e in col)
-    hi = max(e for col in cols for _, e in col)
+    # each column rises with its level index: a Fock column is E(mu) + lambda k, and a
+    # member F(n + mu) rises in the window build_hierarchy enforces; so its ends bound it
+    lo, hi = min(col[0][1] for col in cols), max(col[-1][1] for col in cols)
     # a tick every lambda, thinned so that a wide spread draws at most 2 * count + 1
     stride = lam * max(1, math.ceil((hi - lo) / (2 * lam * count)))
     ticks = tuple(lo + k * stride for k in range((hi - lo) // stride + 1))
@@ -48,8 +49,8 @@ def diagram_spec(p: AlgebraParams, count: int = 18, susy_mode: bool = False) -> 
 
 
 def render_svg(spec: DiagramSpec) -> str:
-    lo = min(e for col in spec.columns for _, e in col)
-    hi = max(e for col in spec.columns for _, e in col)
+    # a column's ends bound it, as in diagram_spec
+    lo, hi = min(col[0][1] for col in spec.columns), max(col[-1][1] for col in spec.columns)
     span = _float(hi - lo) or 1.0
     width_col, bar, margin, height = 80, 50, 70, 480
     top, bottom = 30, height - 40
@@ -80,7 +81,7 @@ def render_svg(spec: DiagramSpec) -> str:
         x0 = margin + c * width_col
         out.append(
             f'<text x="{x0 + bar / 2}" y="{bottom + 25}" text-anchor="middle">{name}</text>')
-        top_y = min(y(e) for _, e in col)
+        top_y = y(col[-1][1])  # its highest level
         out.append(
             f'<line x1="{x0}" y1="{top_y - 12:.1f}" x2="{x0 + bar}" '
             f'y2="{top_y - 12:.1f}" stroke="black" stroke-dasharray="4 3"/>')

@@ -386,18 +386,6 @@ def susy_window(p: AlgebraParams) -> bool:
     return all(1 + a > 0 for a in p.alphas)
 
 
-def lowest_double_position(t: SpectrumType) -> int:
-    """1-based position of the lowest doubly-degenerate group for a/b/c types."""
-    if t.variant not in ("a", "b", "c"):
-        raise ValueError(f"{t.label} has no doubly-degenerate level")
-    n, m = t.n, t.m
-    if t.family == "I":
-        return n + 1 if t.variant == "a" else n + 2
-    if t.family == "II":
-        return {"a": 2 * m + n, "b": n, "c": 2 * m + n - 1}[t.variant]
-    return {"a": 2 * m + n + 1, "b": n + 1, "c": 2 * m + n}[t.variant]
-
-
 def random_admissible_params(
     rng: random.Random,
     lam: int = 3,

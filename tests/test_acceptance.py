@@ -18,18 +18,15 @@ from cext_osc import (
     oracle_agrees,
     verify_sqm,
 )
-from cext_osc.fockrep import (
-    build_operators,
-    normalization_constant,
-    normalization_constant_gamma,
-    verify_relations,
-)
-from cext_osc.spectrum import (
-    lowest_double_position,
-    random_admissible_params,
-)
+from cext_osc.fockrep import build_operators, verify_relations
+from cext_osc.spectrum import random_admissible_params
 
 from conftest import CAPTION_CASES, params3, random_susy_params
+from paper_reference import (
+    lowest_double_position,
+    normalization_constant,
+    normalization_constant_gamma,
+)
 from test_spectrum import boundary_line_points
 
 

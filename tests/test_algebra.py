@@ -11,11 +11,7 @@ from cext_osc import (
     AlgebraParams,
     ExistenceViolation,
     InadmissibleParams,
-    KappaPair,
     Ladder,
-    UnsupportedLambda,
-    alpha_to_kappa,
-    kappa_to_alpha,
     new_params,
 )
 from cext_osc.algebra import MAX_EXPONENT, parse_rational
@@ -159,15 +155,16 @@ class TestStructureFunction:
 
     def test_g_values(self):
         p = params3(0, 6)
-        assert p.g_function(7) == 1 + p.alphas[1]
-        assert p.g_function(1) == 7 == p.structure_function(2) - p.structure_function(1)
-        assert p.g_function(2) == -5 == p.structure_function(3) - p.structure_function(2)
+        # G(n) = 1 + alpha_{n mod lambda}, the step F(n+1) - F(n), read past the first period
+        assert p.structure_function(8) - p.structure_function(7) == 1 + p.alphas[1] == 7
+        assert p.structure_function(2) - p.structure_function(1) == 1 + p.alphas[1]
+        assert p.structure_function(3) - p.structure_function(2) == 1 + p.alphas[2] == -5
 
     @given(admissible_heads(), st.integers(min_value=0, max_value=40))
     def test_difference_law(self, head, n):
         p = new_params(3, list(head))
         assert p.structure_function(0) == 0
-        assert p.structure_function(n + 1) - p.structure_function(n) == p.g_function(n)
+        assert p.structure_function(n + 1) - p.structure_function(n) == 1 + p.alphas[n % p.lam]
         assert p.structure_function(n) == iterate_structure(p.alphas, n)
 
 
@@ -313,31 +310,6 @@ class TestGroundLevelCache:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             params3(0, 6).energy(-1)
-
-
-class TestKappaMap:
-    def test_zero(self):
-        p = kappa_to_alpha(KappaPair(Fraction(0), Fraction(0)))
-        assert p.alphas == (0, 0, 0)
-
-    def test_figure_inversion(self):
-        k = alpha_to_kappa(params3(0, 6))
-        assert k.re_kappa1 == 0
-        assert k.im_kappa1_sqrt3 == -6
-
-    def test_fig7_inversion(self):
-        k = alpha_to_kappa(params3(2, 8))
-        assert k.re_kappa1 == 1
-        assert k.im_kappa1_sqrt3 == -9
-
-    @given(admissible_heads())
-    def test_round_trip(self, head):
-        p = new_params(3, list(head))
-        assert kappa_to_alpha(alpha_to_kappa(p)) == p
-
-    def test_rejects_other_lambda(self):
-        with pytest.raises(UnsupportedLambda):
-            alpha_to_kappa(new_params(2, [Fraction(1, 2)]))
 
 
 class TestRationalParsing:

@@ -13,7 +13,7 @@ import cext_osc
 from cext_osc import new_params
 from cext_osc.algebra import MAX_EXPONENT
 from cext_osc.cli import EXIT_INVALID, EXIT_VERIFY_FAIL, MAX_BITS, SCHEMA_VERSION, main
-from cext_osc.render import diagram_spec, render_ascii
+from cext_osc.render import diagram_spec, render_ascii, render_svg
 from conftest import PROG, Runner
 
 
@@ -546,6 +546,14 @@ def render_ascii_by_scan(spec):
     return "\n".join(lines)
 
 
+def counting(compare, calls):
+    """``compare``, which appends its name to ``calls`` on each call."""
+    def counted(a, b):
+        calls.append(compare.__name__)
+        return compare(a, b)
+    return counted
+
+
 class TestDiagram:
     @pytest.mark.parametrize("head,susy_mode", [
         ([0, Fraction(1, 2)], False), ([0, 6], False), ([2, 8], False), ([10, 2], False),
@@ -591,6 +599,23 @@ class TestDiagram:
         energies = [e for col in spec.columns for _, e in col]
         assert spec.ticks[0] == min(energies)
         assert max(energies) - spec.ticks[-1] < stride
+
+    @pytest.mark.parametrize("susy_mode", [False, True])
+    def test_comparisons_do_not_grow_with_the_levels(self, susy_mode):
+        # each column rises with its level index, so its ends alone place the axis
+        p = new_params(3, [0, Fraction(1, 2)])
+
+        def comparisons(count):
+            calls = []
+            with pytest.MonkeyPatch.context() as m:
+                for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+                    m.setattr(Fraction, name, counting(getattr(Fraction, name), calls))
+                spec = diagram_spec(p, count, susy_mode)
+                render_svg(spec)
+                render_ascii(spec)
+            return len(calls)
+
+        assert comparisons(10) == comparisons(1000)
 
     def test_susy_mode_outside_window_exits_2(self, runner):
         res = run(runner, "diagram", "--alpha0", "0", "--alpha1", "6",

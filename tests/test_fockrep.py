@@ -12,16 +12,15 @@ from cext_osc import (
     new_params,
     projection_shift_identity,
 )
-from cext_osc.fockrep import (
-    build_operators,
-    log_normalization_constant_gamma,
-    normalization_constant,
-    normalization_constant_gamma,
-    verify_relations,
-)
+from cext_osc.fockrep import build_operators, verify_relations
 from cext_osc.spectrum import random_admissible_params
 
 from conftest import ladder_h0, params3, random_susy_params
+from paper_reference import (
+    log_normalization_constant_gamma,
+    normalization_constant,
+    normalization_constant_gamma,
+)
 
 
 class TestBuildOperators:

@@ -1,14 +1,17 @@
 """The import boundary: the exact layers and commands run without NumPy, and
-each command loads only the library modules it runs.
+each command loads only the library modules it runs.  Every public name of
+the library has a reader in the library or the benchmark.
 
 The process tests start the CLI in a fresh interpreter, because the test
 session itself has NumPy and every module loaded long before any test runs.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,11 +68,11 @@ MODULES_LOADED = [
 # The package's listing when it imported every name of algebra, spectrum and susy
 PUBLIC_NAMES = [
     "AlgebraParams", "DegeneracyPattern", "ExistenceViolation", "InadmissibleParams",
-    "InvariantViolation", "KappaPair", "Ladder", "NotPeriodic", "PatternDescriptor",
-    "PeriodReport", "SpectrumType", "SqmReport", "SusyHierarchy", "UnsupportedLambda",
-    "WindowViolation", "algebra", "alpha_to_kappa", "build_hierarchy", "check_interlacing",
-    "classify3", "classify_oracle", "cyclic_shift", "degeneracy_pattern", "detect_period",
-    "expected_prefix", "kappa_to_alpha", "label_from_key", "levels", "new_params",
+    "InvariantViolation", "Ladder", "NotPeriodic", "PatternDescriptor", "PeriodReport",
+    "SpectrumType", "SqmReport", "SusyHierarchy", "UnsupportedLambda", "WindowViolation",
+    "algebra", "build_hierarchy", "check_interlacing", "classify3", "classify_oracle",
+    "cyclic_shift", "degeneracy_pattern", "detect_period", "expected_prefix",
+    "label_from_key", "levels", "new_params",
     "oracle_agrees", "order_key", "projection_shift_identity", "representative_params",
     "shift_flags", "spectrum", "superalgebra_gap", "susy", "susy_window", "verify_sqm",
 ]
@@ -265,3 +268,64 @@ print(before, "classify3" in vars(cext_osc), "cext_osc.spectrum" in sys.modules,
         assert fockrep.__name__ == "cext_osc.fockrep"
         assert render.__name__ == "cext_osc.render"
         assert cext_osc.algebra.__name__ == "cext_osc.algebra"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``: as a name, an attribute or a whole string."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1  # a name looked up by string, as bench/tracing.py does
+    return found
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class, and of each method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+
+
+def unread_public_names() -> list[str]:
+    """The library's public functions, classes and methods that nothing outside their def reads.
+
+    Readers are the library and ``bench/``; the package's ``__init__`` only lists names for
+    export, so it reads none.  A function registered by a decorator that the library
+    defines, such as a CLI command, counts as read.
+    """
+    def parse(directory):
+        return {path: ast.parse(path.read_text()) for path in (ROOT / directory).glob("*.py")}
+
+    library, bench = parse("src/cext_osc"), parse("bench")
+    assert library and bench, f"no sources under {ROOT}"  # else every name would pass unread
+    total = Counter()
+    for path, tree in [*library.items(), *bench.items()]:
+        if path != ROOT / "src/cext_osc/__init__.py":
+            total += reads(tree)
+    registrars = {node.name for tree in library.values() for node in tree.body
+                  if isinstance(node, ast.FunctionDef)}
+    unread = []
+    for path, tree in sorted(library.items()):
+        for name, node in definitions(tree):
+            registered = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) in registrars
+                             for d in node.decorator_list)
+            public = not node.name.startswith("_")
+            if public and not registered and total[node.name] == reads(node)[node.name]:
+                unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    # a name only tests call belongs with the tests, as a reference, not in the library
+    assert unread_public_names() == []

@@ -31,7 +31,6 @@ from cext_osc.spectrum import (
     NONDEG_VARIANTS,
     InvariantViolation,
     label_from_key,
-    lowest_double_position,
     oracle_agrees,
     order_key,
     period3_omegas,
@@ -39,6 +38,7 @@ from cext_osc.spectrum import (
 )
 
 from conftest import CAPTION_CASES, params3, reference_energy
+from paper_reference import lowest_double_position
 
 def variant_types(max_index):
     """Every label with indices m, n <= ``max_index``."""
